@@ -1,9 +1,13 @@
 # CI/dev entry points for the ACBM reproduction.
 #
-#   make build        — vet + compile everything
+#   make build        — gofmt check (fails on any unformatted file) +
+#                       vet + compile everything
 #   make test         — full test suite, plus the codec/server packages
-#                       under the race detector (certifies the wavefront
-#                       encoder and the multi-session serving layer)
+#                       under the race detector at GOMAXPROCS 1, 2 and 4
+#                       (certifies the wavefront encoder and the
+#                       multi-session serving layer on multi-core hosts)
+#   make fuzz-smoke   — a short fixed-time run of the fuzz targets on
+#                       untrusted input (the /encode query parser)
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
@@ -17,9 +21,6 @@
 #                       pinned in internal/codec/alloc_test.go)
 #   make bench-speed  — regenerate BENCH_speed.json (ns/frame, fps,
 #                       points/block for each searcher × worker count)
-#   make bench-matrix — regenerate BENCH_speed.json with the full
-#                       GOMAXPROCS × workers × pipeline scaling matrix
-#                       (same artifact, explicit sweep axes)
 #   make ratchet-pin  — re-pin BENCH_ratchet.json baselines on this host
 #                       (run after a deliberate perf change, commit the
 #                       result)
@@ -58,15 +59,19 @@
 
 GO ?= go
 
-.PHONY: build test bench-smoke bench-speed bench-matrix bench-rate ratchet-pin serve-smoke bench-serve cluster-smoke bench-cluster qos-smoke bench-qos obs-smoke ladder-smoke bench-ladder ci
+.PHONY: build test fuzz-smoke bench-smoke bench-speed bench-rate ratchet-pin serve-smoke bench-serve cluster-smoke bench-cluster qos-smoke bench-qos obs-smoke ladder-smoke bench-ladder ci
 
 build:
+	@unformatted="$$(gofmt -l $$(find . -name '*.go' -not -path './.*'))"; if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) build ./...
 
 test: build
 	$(GO) test ./...
-	$(GO) test -race ./internal/metrics/ ./internal/codec/ ./internal/core/ ./internal/search/ ./internal/server/ ./internal/gateway/ ./internal/obs/
+	$(GO) test -race -cpu 1,2,4 ./internal/metrics/ ./internal/codec/ ./internal/core/ ./internal/search/ ./internal/server/ ./internal/gateway/ ./internal/obs/
+
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzParseSessionConfig -fuzztime 10s ./internal/server/
 
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch
@@ -77,9 +82,6 @@ bench-smoke:
 	$(GO) test -run TestRecorderOverheadGuard -count=1 -v ./internal/codec/
 
 bench-speed:
-	$(GO) run ./cmd/acbmbench -experiment speed -frames 30 -json BENCH_speed.json
-
-bench-matrix:
 	$(GO) run ./cmd/acbmbench -experiment speed -frames 30 -json BENCH_speed.json
 
 ratchet-pin:
@@ -134,4 +136,4 @@ ladder-smoke:
 bench-ladder:
 	$(GO) run ./cmd/vload -ladder -json BENCH_ladder.json
 
-ci: test bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke
+ci: test fuzz-smoke bench-smoke serve-smoke cluster-smoke qos-smoke obs-smoke ladder-smoke

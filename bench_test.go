@@ -106,7 +106,7 @@ func BenchmarkFigure4_MVStudy(b *testing.B) {
 	}
 }
 
-// --- Ablations: the design choices DESIGN.md calls out ---------------------
+// --- Ablations: one search design choice varied at a time ------------------
 
 // ablationEncode encodes a fixed hard sequence and reports complexity and
 // quality for one searcher configuration.

@@ -6,8 +6,7 @@
 // stand-ins for the paper's test sequences, and harnesses that regenerate
 // every table and figure of the evaluation.
 //
-// The library lives under internal/ (see DESIGN.md for the system
-// inventory); runnable entry points are the examples/ programs and the
+// The library lives under internal/; runnable entry points are the examples/ programs and the
 // cmd/acbmbench, cmd/mvstudy, cmd/seqgen, cmd/vcodec, cmd/vcodecd and
 // cmd/vload tools. The benchmarks in bench_test.go regenerate the paper's
 // Table 1 and Figures 4-6.
@@ -91,15 +90,18 @@
 //     reference kernels). All-zero residual blocks skip the transform and
 //     quantiser entirely, and uncoded blocks reconstruct by copying their
 //     prediction — exact by construction.
-//   - internal/codec analyses macroblocks on a wavefront worker pool
-//     (codec.Config.Workers): motion estimation, mode decision,
-//     transform/quantisation and reconstruction are scheduled per
-//     anti-diagonal d = x + 2y, because the predictive searchers read
-//     only the left/up-left/up/up-right motion-field neighbours. Each
-//     worker owns a forked searcher (search.Forker; core.ACBM is not
-//     concurrency-safe and merges its stats additively in Join), scratch
-//     is recycled through sync.Pools, and entropy coding stays serial —
-//     bitstreams are bit-identical for every worker count.
+//   - internal/codec analyses macroblocks on a wavefront worker pool:
+//     motion estimation, mode decision, transform/quantisation and
+//     reconstruction are scheduled per anti-diagonal d = x + 2y, because
+//     the predictive searchers read only the left/up-left/up/up-right
+//     motion-field neighbours. One driver runs that schedule on a
+//     codec.Pool — a frame-private Pool of codec.Config.Workers, or the
+//     caller's shared Config.Pool — and Workers=1 keeps the sequential
+//     raster loop as the reference. Each running task borrows a forked
+//     searcher (search.Forker; core.ACBM is not concurrency-safe and
+//     merges its stats additively in Join), scratch is recycled through
+//     sync.Pools, and entropy coding stays serial — bitstreams are
+//     bit-identical for every worker count and pool.
 //   - codec.Pipeline (codec.Config.Pipeline in EncodeSequence) overlaps
 //     the serial entropy coding of frame n with the analysis of frame
 //     n+1: analysis of n+1 needs only frame n's reconstruction and motion
@@ -121,8 +123,8 @@
 //     Pipeline × Pool by golden -race tests; `make bench-rate` writes
 //     BENCH_rate.json (kbps tracking error, ns/frame per mode).
 //
-// `make bench-speed` / `make bench-matrix` (or `acbmbench -experiment
-// speed -json BENCH_speed.json`) record the encoder's speed trajectory —
+// `make bench-speed` (or `acbmbench -experiment speed -json
+// BENCH_speed.json`) records the encoder's speed trajectory —
 // ns/frame, fps, the analysis/entropy phase split, points/block,
 // allocs/frame and the half-pel bytes actually materialised per frame —
 // across the full GOMAXPROCS × workers × pipeline matrix, per searcher.

@@ -7,8 +7,7 @@
 // The bitstream is a compact custom format over the internal/entropy
 // layer; it is fully decodable and the decoder's output is bit-identical
 // to the encoder's reconstruction loop, which the tests verify. Rates and
-// PSNRs measured here stand in for the paper's TMN5 (H.263) numbers — see
-// DESIGN.md for the substitution rationale.
+// PSNRs measured here stand in for the paper's TMN5 (H.263) numbers.
 package codec
 
 import (
@@ -83,16 +82,17 @@ type Config struct {
 	// control (the frame-lag controller never waits on the in-flight
 	// frame's bits).
 	Pipeline bool
-	// Pool, when non-nil, runs macroblock analysis on a shared worker
-	// pool instead of Workers frame-private goroutines. This is the
-	// multi-session serving mode (cmd/vcodecd): N concurrent encoder
-	// sessions share one machine-sized pool, interleaving at macroblock
-	// granularity, instead of oversubscribing the host with N×Workers
-	// goroutines. The wavefront schedule, its invariants and the output
-	// bits are identical to the private-worker path; Workers is ignored
-	// while Pool is set. The Searcher must implement search.Forker (all
-	// searchers this module provides do); otherwise the pool is dropped
-	// and the session analyses sequentially on its own goroutine.
+	// Pool, when non-nil, runs macroblock analysis on this shared worker
+	// pool, and Workers is ignored. This is the multi-session serving mode
+	// (cmd/vcodecd): N concurrent encoder sessions share one
+	// machine-sized pool, interleaving at macroblock granularity, instead
+	// of oversubscribing the host with N×Workers goroutines. The
+	// wavefront schedule, its invariants and the output bits are those of
+	// the Workers path, which runs the same schedule on a frame-private
+	// Pool; only a caller-supplied Pool reports queue waits to the
+	// Observer. The Searcher must implement search.Forker (all searchers
+	// this module provides do); otherwise the pool is dropped and the
+	// session analyses sequentially on its own goroutine.
 	Pool *Pool
 	// Priority is the session's scheduling class on a shared Pool: live
 	// (the zero value) macroblock tasks dispatch ahead of batch tasks, so
@@ -115,8 +115,11 @@ type Config struct {
 	// (motion estimation, mode decision, transform/quantisation and
 	// reconstruction, scheduled per anti-diagonal wavefront; entropy
 	// coding stays serial, so the bitstream and all statistics are
-	// bit-identical for every worker count). 0 selects GOMAXPROCS, 1
-	// forces sequential analysis. Parallel analysis requires the Searcher
+	// bit-identical for every worker count). 0 selects GOMAXPROCS; 1
+	// forces the sequential raster loop, the reference path. N > 1 runs
+	// each frame's analysis on a frame-private Pool of N workers, closed
+	// when the frame's analysis returns, forking min(N, rows, cols/2+1)
+	// searchers per inter frame. Parallel analysis requires the Searcher
 	// to implement search.Forker — its frame-granular fork/join protocol
 	// runs at every worker count, so stateful searchers (core.Budgeted)
 	// stay deterministic; searchers without it are clamped to 1.
@@ -250,8 +253,8 @@ func validateSize(s frame.Size) error {
 	if s.W%16 != 0 || s.H%16 != 0 {
 		return fmt.Errorf("codec: luma size %v not divisible into 16x16 macroblocks", s)
 	}
-	if s.W == 0 || s.H == 0 {
-		return fmt.Errorf("codec: empty frame size")
+	if s.W <= 0 || s.H <= 0 {
+		return fmt.Errorf("codec: empty frame size %v", s)
 	}
 	return nil
 }

@@ -79,6 +79,9 @@ type Encoder struct {
 	// Workers=1 and Pool=nil for external ones that do not, so a nil
 	// forker only ever reaches the plain sequential loop.
 	forker search.Forker
+	// wf holds the wavefront's per-macroblock tasks, built at the first
+	// parallel frame (parallel.go).
+	wf *wavefront
 
 	sw       symWriter
 	out      []byte

@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -63,7 +64,7 @@ func ParseLadderSpec(s string) ([]RungSpec, error) {
 		spec := RungSpec{Size: frame.Size{W: w, H: h}}
 		if hasKbps {
 			kbps, err := strconv.ParseFloat(kbpsStr, 64)
-			if err != nil || kbps < 0 {
+			if err != nil || !(kbps >= 0) || math.IsInf(kbps, 0) {
 				return nil, fmt.Errorf("codec: bad ladder rung bitrate %q", kbpsStr)
 			}
 			spec.TargetKbps = kbps

@@ -35,12 +35,13 @@ func (p Priority) String() string {
 // flood.
 const batchShare = 8
 
-// Pool is a shared macroblock-analysis worker pool: a fixed set of
-// goroutines that execute analysis tasks for any number of concurrent
-// encoder sessions. It exists so a serving process (cmd/vcodecd) can cap
-// total analysis parallelism at the machine's core count instead of
-// letting every session spin up Config.Workers goroutines of its own —
-// N sessions share one pool rather than oversubscribing N×GOMAXPROCS.
+// Pool is a macroblock-analysis worker pool: a fixed set of goroutines
+// that execute analysis tasks for any number of concurrent encoder
+// sessions. It is the only way macroblocks analyse in parallel: an
+// encoder with Workers=N and no Config.Pool runs its frames on a
+// frame-private Pool of N, and a serving process (cmd/vcodecd) shares
+// one machine-sized Pool across every session, capping total analysis
+// parallelism at the core count instead of oversubscribing N×GOMAXPROCS.
 //
 // Scheduling and fairness: sessions submit one task per macroblock, so
 // concurrent sessions interleave at macroblock granularity — a session
@@ -60,16 +61,16 @@ const batchShare = 8
 //
 // Deadlock freedom: pool workers never submit tasks and tasks never block
 // on other tasks (the per-frame searcher set is sized so a borrowed
-// searcher is always available; see analyzeFramePool), so every submitted
+// searcher is always available; see analyzeFrame), so every submitted
 // task eventually runs even when sessions outnumber workers — the
 // priority tiers reorder dispatch but never withhold it.
 type Pool struct {
 	size int
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	live   []func()
-	batch  []func()
+	mu    sync.Mutex
+	cond  *sync.Cond
+	live  taskQueue
+	batch taskQueue
 	// liveRun counts consecutive live dispatches while batch work waited;
 	// at batchShare the next dispatch is forced to the batch queue.
 	liveRun int
@@ -93,25 +94,25 @@ func NewPool(workers int) *Pool {
 func (p *Pool) worker() {
 	for {
 		p.mu.Lock()
-		for len(p.live) == 0 && len(p.batch) == 0 && !p.closed {
+		for p.live.len() == 0 && p.batch.len() == 0 && !p.closed {
 			p.cond.Wait()
 		}
-		if len(p.live) == 0 && len(p.batch) == 0 {
+		if p.live.len() == 0 && p.batch.len() == 0 {
 			p.mu.Unlock()
 			return // closed and drained
 		}
 		var fn func()
 		// Dispatch: live first, except when the anti-starvation share is
 		// owed to a waiting batch task.
-		if len(p.live) > 0 && (len(p.batch) == 0 || p.liveRun < batchShare) {
-			fn, p.live = p.live[0], p.live[1:]
-			if len(p.batch) > 0 {
+		if p.live.len() > 0 && (p.batch.len() == 0 || p.liveRun < batchShare) {
+			fn = p.live.pop()
+			if p.batch.len() > 0 {
 				p.liveRun++
 			} else {
 				p.liveRun = 0
 			}
 		} else {
-			fn, p.batch = p.batch[0], p.batch[1:]
+			fn = p.batch.pop()
 			p.liveRun = 0
 		}
 		p.mu.Unlock()
@@ -130,9 +131,9 @@ func (p *Pool) Size() int { return p.size }
 func (p *Pool) submit(pri Priority, fn func()) {
 	p.mu.Lock()
 	if pri == PriorityBatch {
-		p.batch = append(p.batch, fn)
+		p.batch.push(fn)
 	} else {
-		p.live = append(p.live, fn)
+		p.live.push(fn)
 	}
 	p.mu.Unlock()
 	p.cond.Signal()
@@ -145,4 +146,36 @@ func (p *Pool) Close() {
 	p.closed = true
 	p.mu.Unlock()
 	p.cond.Broadcast()
+}
+
+// taskQueue is one priority class's FIFO. It keeps its backing array
+// across the drain-refill cycle every wavefront barrier causes, so
+// steady-state submits allocate nothing; popped slots are cleared so
+// finished tasks can be collected.
+type taskQueue struct {
+	tasks []func()
+	head  int // index of the oldest queued task
+}
+
+func (q *taskQueue) len() int { return len(q.tasks) - q.head }
+
+func (q *taskQueue) push(fn func()) {
+	if len(q.tasks) == cap(q.tasks) && q.head > len(q.tasks)/2 {
+		// Mostly consumed: slide the queued tail to the front instead of
+		// growing the array.
+		n := copy(q.tasks, q.tasks[q.head:])
+		clear(q.tasks[n:])
+		q.tasks, q.head = q.tasks[:n], 0
+	}
+	q.tasks = append(q.tasks, fn)
+}
+
+func (q *taskQueue) pop() func() {
+	fn := q.tasks[q.head]
+	q.tasks[q.head] = nil
+	q.head++
+	if q.head == len(q.tasks) {
+		q.tasks, q.head = q.tasks[:0], 0
+	}
+	return fn
 }

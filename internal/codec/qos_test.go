@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -269,5 +270,39 @@ func TestPoolPriorityDoesNotChangeBits(t *testing.T) {
 func TestPriorityString(t *testing.T) {
 	if PriorityLive.String() != "live" || PriorityBatch.String() != "batch" {
 		t.Errorf("Priority strings: %q, %q", PriorityLive, PriorityBatch)
+	}
+}
+
+// TestTaskQueueFIFO drives one pool queue through interleaved pushes and
+// pops — the pattern a shared pool sees when sessions submit while
+// workers drain — against a plain slice FIFO: order must match, and the
+// reused backing array must stay within a constant factor of the deepest
+// the queue got (it grows only while at least half of it is queued), not
+// with the number of tasks ever pushed.
+func TestTaskQueueFIFO(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	var q taskQueue
+	var ref []int
+	got, next, deepest := -1, 0, 0
+	for op := 0; op < 20000; op++ {
+		if len(ref) == 0 || rng.IntN(100) < 52 {
+			id := next
+			next++
+			q.push(func() { got = id })
+			ref = append(ref, id)
+			deepest = max(deepest, len(ref))
+		} else {
+			q.pop()()
+			if got != ref[0] {
+				t.Fatalf("op %d: popped task %d, want %d", op, got, ref[0])
+			}
+			ref = ref[1:]
+		}
+		if q.len() != len(ref) {
+			t.Fatalf("op %d: len %d, want %d", op, q.len(), len(ref))
+		}
+	}
+	if c := cap(q.tasks); c > 4*deepest+8 {
+		t.Fatalf("backing array grew to %d slots for a queue at most %d deep", c, deepest)
 	}
 }

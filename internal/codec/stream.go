@@ -193,16 +193,6 @@ func (s *EncodeStream) Close() (*SequenceStats, error) {
 	return s.e.Stats(), s.werr
 }
 
-// PhaseTimes returns the cumulative analysis/entropy wall clock (see
-// Encoder.PhaseTimes). Valid only after Close — before that the writer
-// goroutine still owns the entropy counter.
-func (s *EncodeStream) PhaseTimes() (analysis, entropy time.Duration) {
-	if !s.closed {
-		panic("codec: EncodeStream.PhaseTimes before Close")
-	}
-	return s.e.PhaseTimes()
-}
-
 // headerPacket builds packet 0: the sequence header (size + entropy
 // mode). Valid once the first frame has been analysed (e.size is set).
 func (e *Encoder) headerPacket() []byte {

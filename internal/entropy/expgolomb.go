@@ -7,7 +7,6 @@
 // monotone in magnitude — which preserve the property ACBM relies on:
 // larger motion vector differences and larger coefficient levels cost more
 // bits, so an incoherent FSBM motion field pays a measurable rate penalty.
-// See DESIGN.md §1 for the substitution rationale.
 package entropy
 
 import (

@@ -157,6 +157,17 @@ func (r *FlightRecorder) slot(index int) *frameSlot {
 	return s
 }
 
+// owned returns frame index's slot if index still holds its stamp, nil
+// once a lapping writer has reclaimed it (or before it was claimed).
+// The late phases write through it, never into another frame's record.
+func (r *FlightRecorder) owned(index int) *frameSlot {
+	s := &r.slots[index&r.mask]
+	if s.index.Load() != int64(index) {
+		return nil
+	}
+	return s
+}
+
 // FrameRead records the Y4M source read preceding frame index.
 func (r *FlightRecorder) FrameRead(index int, d time.Duration) {
 	if r == nil {
@@ -223,9 +234,10 @@ func (r *FlightRecorder) FrameWritten(index int, wall time.Duration, bits int) {
 	if r == nil {
 		return
 	}
-	s := &r.slots[index&r.mask]
-	s.entropyNs.Store(int64(wall))
-	s.bits.Store(int64(bits))
+	if s := r.owned(index); s != nil {
+		s.entropyNs.Store(int64(wall))
+		s.bits.Store(int64(bits))
+	}
 }
 
 // FrameEmitted records frame index's packet write + client flush time.
@@ -233,7 +245,9 @@ func (r *FlightRecorder) FrameEmitted(index int, d time.Duration) {
 	if r == nil {
 		return
 	}
-	r.slots[index&r.mask].emitNs.Store(int64(d))
+	if s := r.owned(index); s != nil {
+		s.emitNs.Store(int64(d))
+	}
 	if index == 0 {
 		r.firstNs.CompareAndSwap(0, int64(time.Since(r.start)))
 	}
@@ -290,13 +304,17 @@ func (r *FlightRecorder) Snapshot() Record {
 	lo := 0
 	if n := raw - len(r.slots); n > 0 {
 		lo = n
-		rec.DroppedFrames = (n + rungs - 1) / rungs
 	}
 	ms := func(ns int64) float64 { return float64(ns) / 1e6 }
 	for i := lo; i < raw; i++ {
 		s := &r.slots[i&r.mask]
-		if s.index.Load() != int64(i) {
-			continue // being overwritten by a wrapping writer right now
+		if idx := s.index.Load(); idx != int64(i) {
+			if idx > int64(i) {
+				// A lapping writer reclaimed this slot during the scan, so
+				// everything older is gone too: keep only the newer suffix.
+				rec.Events, lo = rec.Events[:0], i+1
+			}
+			continue // idx < i: a lagging rung has not claimed it yet
 		}
 		ev := FrameEvent{
 			Index:       i / rungs,
@@ -315,10 +333,14 @@ func (r *FlightRecorder) Snapshot() Record {
 		ev.Intra = f&flagIntra != 0
 		ev.Actuated = f&flagActuated != 0
 		if s.index.Load() != int64(i) {
-			continue // torn by a wrap between the loads; drop the mixture
+			// Torn by a wrap between the loads: drop the mixture and the
+			// older events with it.
+			rec.Events, lo = rec.Events[:0], i+1
+			continue
 		}
 		rec.Events = append(rec.Events, ev)
 	}
+	rec.DroppedFrames = (lo + rungs - 1) / rungs
 	return rec
 }
 

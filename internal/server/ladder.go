@@ -1,26 +1,20 @@
 package server
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"log"
-	"net/http"
-	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/codec"
-	"repro/internal/frame"
-	"repro/internal/obs"
 )
 
 // Simulcast serving: /encode?ladder=WxH@kbps,... ingests the source once
 // and streams every rung of the ladder back interleaved, each record
 // tagged with its rung index (LadderContentType framing). The heavy
 // lifting — downscale chain, cross-layer motion seeding, per-rung rate
-// control — lives in codec.LadderStream; this file is the transport and
-// observability shim around it.
+// control — lives in codec.LadderStream. The session itself is the same
+// encodeSession a plain upload runs (server.go): one ingest loop, one
+// emit path, one observer per rung; only the stream driver, the framing
+// and the trailer set differ.
 //
 // Ladder sessions are exempt from the adaptive QoS controller: the rungs
 // ARE the quality ladder, and a client that wants a degraded stream picks
@@ -28,181 +22,17 @@ import (
 // pinned qoslevel still applies (uniformly, to every rung), keeping the
 // stream byte-verifiable against an offline EncodeLadder run.
 
-// encodeLadderSession runs one admitted simulcast session.
-func (s *Server) encodeLadderSession(ctx context.Context, w http.ResponseWriter, r *http.Request, cfg codec.Config, opts sessionOpts, rec *obs.FlightRecorder, traceID string) {
-	y4m, err := frame.NewY4MReader(r.Body)
-	if err != nil {
-		rec.Finish(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if sz, top := y4m.Size(), opts.ladder[0].Size; sz != top {
-		err := fmt.Errorf("source is %dx%d, ladder top rung wants %dx%d", sz.W, sz.H, top.W, top.H)
-		rec.Finish(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if fps := y4m.FPS(); fps > 0 {
-		cfg.FPS = fps
-	}
-	cfg.Pool = s.pool
-	cfg.Pipeline = true
-	if opts.batch {
-		cfg.Priority = codec.PriorityBatch
-	}
-	qosLevel := 0
-	if opts.pinned >= 0 {
-		qosLevel = opts.pinned
-		rec.SetQosLevel(qosLevel)
-	}
-
-	// One encoder config per rung: shared knobs from the query, per-rung
-	// bitrate target from the spec, and — the Rung contract — a fresh
-	// searcher instance each, since the rungs analyse on parallel
-	// goroutines.
-	nR := len(opts.ladder)
-	rungs := make([]codec.Rung, nR)
-	for i, spec := range opts.ladder {
-		rcfg := cfg
-		rcfg.TargetKbps = spec.TargetKbps
-		searcher, err := opts.newSearcher()
-		if err != nil {
-			rec.Finish(err)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		rcfg.Searcher = searcher
-		if opts.pinned >= 0 {
-			rcfg = ApplyQosLevel(rcfg, opts.pinned)
-		}
-		rcfg.Observer = &ladderRungObserver{rec: rec, h: &s.hist, rung: i, rungs: nR}
-		rungs[i] = codec.Rung{Size: spec.Size, Cfg: rcfg}
-	}
-
-	rc := http.NewResponseController(w)
-	_ = rc.EnableFullDuplex()
-
-	w.Header().Set("Content-Type", LadderContentType)
-	w.Header().Set("Trailer", strings.Join([]string{TrailerFrames, TrailerRungs, TrailerQosLevel, TrailerTrace, TrailerError}, ", "))
-
-	begin := time.Now()
-	// Emit-side state: LadderStream serialises the emit callback across
-	// rung goroutines, so lastEmit and the writer need no further locking.
-	var lastEmit time.Time
-	pw := codec.NewLadderPacketWriter(w)
-	l, err := codec.NewLadderStream(rungs, func(rung int, p codec.Packet) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("client gone: %w", err)
-		}
-		emitStart := time.Now()
-		if err := pw.WritePacket(rung, p.Index, p.Data); err != nil {
-			return err
-		}
-		if err := rc.Flush(); err != nil {
-			return err
-		}
-		emitDur := time.Since(emitStart)
-		s.hist.emit.Observe(emitDur)
-		s.m.packetsTotal.Add(1)
-		s.m.bytesOut.Add(int64(len(p.Data)))
-		if p.Index > 0 {
-			s.m.framesTotal.Add(1)
-			rec.FrameEmitted((p.Index-1)*nR+rung, emitDur)
-			now := time.Now()
-			if lastEmit.IsZero() {
-				s.hist.firstPacket.Observe(now.Sub(begin))
-			} else {
-				s.hist.frameGap.Observe(now.Sub(lastEmit))
-			}
-			lastEmit = now
-		}
-		return nil
-	})
-	if err != nil {
-		rec.Finish(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	frames := 0
-	var sessionErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			sessionErr = fmt.Errorf("client gone: %w", err)
-			break
-		}
-		readStart := time.Now()
-		f, err := y4m.ReadFrame()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			sessionErr = err
-			break
-		}
-		readDur := time.Since(readStart)
-		rec.FrameRead(frames*nR, readDur) // source read is a rung-0 event
-		s.hist.read.Observe(readDur)
-		if s.cfg.MaxFramesPerSession > 0 && frames >= s.cfg.MaxFramesPerSession {
-			sessionErr = fmt.Errorf("session frame cap (%d) exceeded", s.cfg.MaxFramesPerSession)
-			break
-		}
-		encStart := time.Now()
-		if err := l.EncodeFrame(f); err != nil {
-			sessionErr = err
-			break
-		}
-		if s.qos != nil {
-			s.qos.observe(time.Since(encStart), 0)
-		}
-		frames++
-	}
-	stats, closeErr := l.Close()
-	if sessionErr == nil {
-		sessionErr = closeErr
-	}
-	s.m.sessionNs.Add(time.Since(begin).Nanoseconds())
-
-	w.Header().Set(TrailerFrames, strconv.Itoa(frames))
-	parts := make([]string, 0, nR)
+// rungsTrailer renders the TrailerRungs summary: one
+// "WxH:frames:psnrY:kbps" entry per rung, in rung order.
+func rungsTrailer(specs []codec.RungSpec, stats []*codec.SequenceStats) string {
+	parts := make([]string, 0, len(specs))
 	for i, st := range stats {
 		n, psnr, kbps := 0, 0.0, 0.0
 		if st != nil {
 			n, psnr, kbps = len(st.Frames), st.AvgPSNRY(), st.BitrateKbps()
 		}
-		sz := opts.ladder[i].Size
+		sz := specs[i].Size
 		parts = append(parts, fmt.Sprintf("%dx%d:%d:%.2f:%.1f", sz.W, sz.H, n, psnr, kbps))
 	}
-	w.Header().Set(TrailerRungs, strings.Join(parts, ";"))
-	w.Header().Set(TrailerQosLevel, strconv.Itoa(qosLevel))
-	w.Header().Set(TrailerTrace, traceID)
-	rec.Finish(sessionErr)
-	if sessionErr != nil {
-		s.m.sessionsFailed.Add(1)
-		w.Header().Set(TrailerError, sessionErr.Error())
-		log.Printf("ladder session %s failed after %d frames: %v", traceID, frames, sessionErr)
-	}
-}
-
-// ladderRungObserver bridges one rung's codec.FrameObserver events into
-// the session's shared flight recorder, keying slots as frame×rungs+rung
-// so the trace endpoint can render a per-rung timeline. Rungs observe
-// from their own goroutines; the recorder is lock-free throughout.
-type ladderRungObserver struct {
-	rec         *obs.FlightRecorder
-	h           *serverHists
-	rung, rungs int
-}
-
-func (o *ladderRungObserver) FrameAnalyzed(index int, wall, queueWait, maxStall time.Duration, intra bool, qp int) {
-	o.rec.FrameAnalyzed(index*o.rungs+o.rung, wall, queueWait, maxStall, intra, qp)
-	o.h.analysis.Observe(wall)
-	if queueWait > 0 {
-		o.h.queueWait.Observe(queueWait)
-	}
-}
-
-func (o *ladderRungObserver) FrameWritten(index int, wall time.Duration, bits int) {
-	o.rec.FrameWritten(index*o.rungs+o.rung, wall, bits)
-	o.h.entropy.Observe(wall)
+	return strings.Join(parts, ";")
 }

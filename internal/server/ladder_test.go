@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -137,6 +138,45 @@ func TestServerLadderBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestLadderSessionPhaseCounters pins the phase counters to the same
+// observer that feeds the histograms: a ladder session advances both
+// vcodecd_analysis_seconds_total and vcodecd_entropy_seconds_total, and
+// each per-frame gauge is its counter over vcodecd_frames_total, which
+// counts every rung's frames.
+func TestLadderSessionPhaseCounters(t *testing.T) {
+	top := frame.Size{W: 64, H: 64}
+	frames := video.Generate(video.Foreman, top, 4, 11)
+	_, ts := newTestServer(t, Config{})
+
+	before, _ := parseExposition(t, scrapeMetrics(t, ts.URL))
+	resp, err := http.Post(ts.URL+"/encode?qp=16&me=acbm&ladder=64x64,32x32",
+		"video/x-yuv4mpeg", bytes.NewReader(y4mBody(t, frames)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	readLadderPackets(t, resp.Body, 2)
+	resp.Body.Close()
+	if te := resp.Trailer.Get(TrailerError); te != "" {
+		t.Fatalf("error trailer: %s", te)
+	}
+
+	after, _ := parseExposition(t, scrapeMetrics(t, ts.URL))
+	n := after["vcodecd_frames_total"]
+	if want := float64(2 * len(frames)); n != want {
+		t.Fatalf("vcodecd_frames_total = %v, want %v (every rung's frames)", n, want)
+	}
+	for _, phase := range []string{"analysis", "entropy"} {
+		total := after["vcodecd_"+phase+"_seconds_total"]
+		if total <= before["vcodecd_"+phase+"_seconds_total"] {
+			t.Errorf("ladder session did not advance vcodecd_%s_seconds_total (%v)", phase, total)
+		}
+		perFrame := after["vcodecd_"+phase+"_ms_per_frame"]
+		if want := total * 1000 / n; math.Abs(perFrame-want) > 1e-9*want {
+			t.Errorf("vcodecd_%s_ms_per_frame = %v, want counter/frames = %v", phase, perFrame, want)
 		}
 	}
 }

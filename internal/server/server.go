@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -239,74 +240,105 @@ func (s *Server) handleEncode(w http.ResponseWriter, r *http.Request) {
 		"vcodec_priority", pri,
 		"vcodec_searcher", meName,
 	), func(ctx context.Context) {
-		if len(opts.ladder) > 0 {
-			s.encodeLadderSession(ctx, w, r, cfg, opts, rec, traceID)
-		} else {
-			s.encodeSession(ctx, w, r, cfg, opts, rec, traceID)
-		}
+		s.encodeSession(ctx, w, r, cfg, opts, rec, traceID)
 	})
 }
 
-// encodeSession runs an admitted session: Y4M frames in, framed packets
+// encodeSession runs one admitted session: Y4M frames in, framed packets
 // out, the flight recorder observing every phase boundary along the way.
+// A plain session feeds a codec.EncodeStream and frames its packets with
+// codec.PacketWriter; a ladder session (opts.ladder) feeds a
+// codec.LadderStream and tags every record with its rung
+// (codec.LadderPacketWriter). Ingest, emit, observation and trailers are
+// shared: a plain session is rung 0 of 1.
 func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *http.Request, cfg codec.Config, opts sessionOpts, rec *obs.FlightRecorder, traceID string) {
+	fail := func(err error) {
+		rec.Finish(err)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+	}
 	y4m, err := frame.NewY4MReader(r.Body)
 	if err != nil {
-		rec.Finish(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		fail(err)
 		return
 	}
-	if sz := y4m.Size(); sz.W%16 != 0 || sz.H%16 != 0 {
-		err := fmt.Errorf("frame size %dx%d not divisible into 16x16 macroblocks", sz.W, sz.H)
-		rec.Finish(err)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	ladder := len(opts.ladder) > 0
+	specs, sz := opts.ladder, y4m.Size()
+	switch {
+	case ladder && sz != specs[0].Size:
+		fail(fmt.Errorf("source is %dx%d, ladder top rung wants %dx%d", sz.W, sz.H, specs[0].Size.W, specs[0].Size.H))
 		return
+	case sz.W%16 != 0 || sz.H%16 != 0:
+		fail(fmt.Errorf("frame size %dx%d not divisible into 16x16 macroblocks", sz.W, sz.H))
+		return
+	}
+	if !ladder {
+		specs = []codec.RungSpec{{Size: sz, TargetKbps: cfg.TargetKbps}}
 	}
 	if fps := y4m.FPS(); fps > 0 {
 		cfg.FPS = fps
 	}
 	// Sessions share the machine-sized pool (never private workers) and
 	// pipeline entropy of frame n over analysis of frame n+1. Per-session
-	// rate profiles (kbps, budget) ride the same path: the frame-lag
-	// controllers decide before analysis and observe after entropy, so a
-	// rate-controlled session keeps full pool parallelism and still
-	// streams the bytes the offline encoder would produce.
+	// rate profiles (kbps, budget, per-rung kbps) ride the same path: the
+	// frame-lag controllers decide before analysis and observe after
+	// entropy, so a rate-controlled session keeps full pool parallelism
+	// and still streams the bytes the offline encoder would produce.
 	cfg.Pool = s.pool
 	cfg.Pipeline = true
 	if opts.batch {
 		cfg.Priority = codec.PriorityBatch
 	}
-	// The flight recorder rides the codec's observer hook: per-frame
-	// analysis/entropy wall clocks, pool queue waits and encoded sizes
-	// flow into the session's ring and the server-wide histograms.
-	// Observation is one-way — nothing here can change an output bit.
-	cfg.Observer = &sessionObserver{rec: rec, h: &s.hist}
 
 	// QoS coupling. A pinned session (qoslevel=N) takes its degradation
 	// at admission and is exempt from the controller — its whole stream
-	// encodes at one level, byte-verifiable against the offline encoder.
-	// An adaptive session registers with the control loop and applies the
-	// controller's target level at each frame hand-off below.
+	// (every rung of a ladder) encodes at one level, byte-verifiable
+	// against the offline encoder. An adaptive plain session registers
+	// with the control loop and applies the controller's target level at
+	// each frame hand-off below. Ladder sessions never register: the rungs
+	// are the quality ladder.
 	var qs *qosSession
 	qosLevel := 0
 	if opts.pinned >= 0 {
-		cfg = ApplyQosLevel(cfg, opts.pinned)
 		qosLevel = opts.pinned
 		rec.SetQosLevel(qosLevel)
-	} else if s.qos != nil {
+	} else if s.qos != nil && !ladder {
 		qs = s.qos.register(opts.batch)
 		defer s.qos.unregister(qs)
 	}
-	origSearcher := cfg.Searcher
 	cheapSearcher := &search.PBM{}
+
+	// One encoder config per rung: shared knobs from the query, the rung's
+	// bitrate target, and a fresh searcher instance each (the Rung
+	// contract: a ladder's rungs analyse on parallel goroutines). The
+	// observer feeds the session's flight recorder and the server-wide
+	// histograms and phase counters; observation is one-way, so nothing
+	// here can change an output bit.
+	rungs := make([]codec.Rung, len(specs))
+	for i, spec := range specs {
+		rcfg := cfg
+		rcfg.TargetKbps = spec.TargetKbps
+		if rcfg.Searcher, err = opts.newSearcher(); err != nil {
+			fail(err)
+			return
+		}
+		if opts.pinned >= 0 {
+			rcfg = ApplyQosLevel(rcfg, opts.pinned)
+		}
+		rcfg.Observer = &sessionObserver{rec: rec, srv: s, rung: i, rungs: len(specs)}
+		rungs[i] = codec.Rung{Size: spec.Size, Cfg: rcfg}
+	}
 
 	// The response streams while the request body is still being read;
 	// HTTP/1 needs full-duplex explicitly enabled (no-op error on HTTP/2).
 	rc := http.NewResponseController(w)
 	_ = rc.EnableFullDuplex()
 
-	w.Header().Set("Content-Type", ContentType)
-	w.Header().Set("Trailer", strings.Join([]string{TrailerFrames, TrailerPSNRY, TrailerKbps, TrailerTargetKbps, TrailerQosLevel, TrailerQosTransitions, TrailerTrace, TrailerError}, ", "))
+	contentType, trailers := ContentType, []string{TrailerFrames, TrailerPSNRY, TrailerKbps, TrailerTargetKbps, TrailerQosLevel, TrailerQosTransitions, TrailerTrace, TrailerError}
+	if ladder {
+		contentType, trailers = LadderContentType, []string{TrailerFrames, TrailerRungs, TrailerQosLevel, TrailerTrace, TrailerError}
+	}
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Trailer", strings.Join(trailers, ", "))
 
 	// The labelled request context (see handleEncode) dies the moment the
 	// client disconnects (or a fronting gateway abandons the attempt).
@@ -317,16 +349,17 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 	// peer is gone.
 
 	begin := time.Now()
-	// Emit-side stream state: owned by whichever goroutine runs the emit
-	// callback (the pipeline writer), never shared.
+	// Emit-side state: owned by whichever goroutine runs emit (the
+	// pipeline writer; LadderStream serialises its rungs' emits), never
+	// shared.
 	var lastEmit time.Time
-	pw := codec.NewPacketWriter(w)
-	es := codec.NewEncodeStream(cfg, func(p codec.Packet) error {
+	var write func(rung int, p codec.Packet) error // the framing, chosen with the stream below
+	emit := func(rung int, p codec.Packet) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("client gone: %w", err)
 		}
 		emitStart := time.Now()
-		if err := pw.WritePacket(p.Index, p.Data); err != nil {
+		if err := write(rung, p); err != nil {
 			return err
 		}
 		// Flush per packet: this is what turns the response into a live
@@ -336,7 +369,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 			return err
 		}
 		emitDur := time.Since(emitStart)
-		if s.qos != nil {
+		if s.qos != nil && !ladder {
 			s.qos.observe(0, emitDur)
 		}
 		s.hist.emit.Observe(emitDur)
@@ -344,7 +377,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		s.m.bytesOut.Add(int64(len(p.Data)))
 		if p.Index > 0 {
 			s.m.framesTotal.Add(1)
-			rec.FrameEmitted(p.Index-1, emitDur)
+			rec.FrameEmitted((p.Index-1)*len(rungs)+rung, emitDur)
 			now := time.Now()
 			if lastEmit.IsZero() {
 				s.hist.firstPacket.Observe(now.Sub(begin))
@@ -354,7 +387,32 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 			lastEmit = now
 		}
 		return nil
-	})
+	}
+
+	var (
+		encode  func(*frame.Frame) error
+		actuate func(codec.Actuation) // adaptive QoS, plain sessions only
+		finish  func() ([]*codec.SequenceStats, error)
+	)
+	if ladder {
+		lpw := codec.NewLadderPacketWriter(w)
+		write = func(rung int, p codec.Packet) error { return lpw.WritePacket(rung, p.Index, p.Data) }
+		l, err := codec.NewLadderStream(rungs, emit)
+		if err != nil {
+			fail(err)
+			return
+		}
+		encode, finish = l.EncodeFrame, l.Close
+	} else {
+		pw := codec.NewPacketWriter(w)
+		write = func(_ int, p codec.Packet) error { return pw.WritePacket(p.Index, p.Data) }
+		es := codec.NewEncodeStream(rungs[0].Cfg, func(p codec.Packet) error { return emit(0, p) })
+		encode, actuate = es.EncodeFrame, es.Actuate
+		finish = func() ([]*codec.SequenceStats, error) {
+			st, err := es.Close()
+			return []*codec.SequenceStats{st}, err
+		}
+	}
 
 	frames := 0
 	var sessionErr error
@@ -373,7 +431,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 			break
 		}
 		readDur := time.Since(readStart)
-		rec.FrameRead(frames, readDur)
+		rec.FrameRead(frames*len(rungs), readDur) // the source read is a rung-0 event
 		s.hist.read.Observe(readDur)
 		if s.cfg.MaxFramesPerSession > 0 && frames >= s.cfg.MaxFramesPerSession {
 			sessionErr = fmt.Errorf("session frame cap (%d) exceeded", s.cfg.MaxFramesPerSession)
@@ -385,7 +443,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		// schedule it actually received.
 		if qs != nil {
 			if t := int(qs.target.Load()); t != qosLevel {
-				es.Actuate(qosActuationFor(t, origSearcher, cheapSearcher))
+				actuate(qosActuationFor(t, rungs[0].Cfg.Searcher, cheapSearcher))
 				rec.FrameActuated(frames, t)
 				qosLevel = t
 				qs.applied.Store(int32(t))
@@ -396,7 +454,7 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 			}
 		}
 		encStart := time.Now()
-		if err := es.EncodeFrame(f); err != nil {
+		if err := encode(f); err != nil {
 			sessionErr = err
 			break
 		}
@@ -405,36 +463,38 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 		}
 		frames++
 	}
-	stats, closeErr := es.Close()
+	stats, closeErr := finish()
 	if sessionErr == nil {
 		sessionErr = closeErr
 	}
-	analysis, entropy := es.PhaseTimes()
-	s.m.analysisNs.Add(analysis.Nanoseconds())
-	s.m.entropyNs.Add(entropy.Nanoseconds())
 	s.m.sessionNs.Add(time.Since(begin).Nanoseconds())
 
 	// Declared trailers: set after the body, shipped with the final chunk.
 	w.Header().Set(TrailerFrames, strconv.Itoa(frames))
-	w.Header().Set(TrailerPSNRY, strconv.FormatFloat(stats.AvgPSNRY(), 'f', 2, 64))
-	w.Header().Set(TrailerKbps, strconv.FormatFloat(stats.BitrateKbps(), 'f', 1, 64))
-	if cfg.TargetKbps > 0 {
-		w.Header().Set(TrailerTargetKbps, strconv.FormatFloat(cfg.TargetKbps, 'f', 1, 64))
-		// Only completed sessions enter the tracking sums: a truncated
-		// stream's bitrate (an I-frame-heavy prefix, or zero frames) would
-		// skew the achieved/target ratio the metrics promise.
-		if sessionErr == nil {
-			s.m.rateSessions.Add(1)
-			s.m.rateTargetMilliKbps.Add(int64(cfg.TargetKbps * 1000))
-			s.m.rateAchievedMilliKbps.Add(int64(stats.BitrateKbps() * 1000))
+	if ladder {
+		w.Header().Set(TrailerRungs, rungsTrailer(specs, stats))
+	} else {
+		st := stats[0]
+		w.Header().Set(TrailerPSNRY, strconv.FormatFloat(st.AvgPSNRY(), 'f', 2, 64))
+		w.Header().Set(TrailerKbps, strconv.FormatFloat(st.BitrateKbps(), 'f', 1, 64))
+		if cfg.TargetKbps > 0 {
+			w.Header().Set(TrailerTargetKbps, strconv.FormatFloat(cfg.TargetKbps, 'f', 1, 64))
+			// Only completed sessions enter the tracking sums: a truncated
+			// stream's bitrate (an I-frame-heavy prefix, or zero frames)
+			// would skew the achieved/target ratio the metrics promise.
+			if sessionErr == nil {
+				s.m.rateSessions.Add(1)
+				s.m.rateTargetMilliKbps.Add(int64(cfg.TargetKbps * 1000))
+				s.m.rateAchievedMilliKbps.Add(int64(st.BitrateKbps() * 1000))
+			}
 		}
+		transitions := 0
+		if qs != nil {
+			transitions = int(qs.transitions.Load())
+		}
+		w.Header().Set(TrailerQosTransitions, strconv.Itoa(transitions))
 	}
 	w.Header().Set(TrailerQosLevel, strconv.Itoa(qosLevel))
-	transitions := 0
-	if qs != nil {
-		transitions = int(qs.transitions.Load())
-	}
-	w.Header().Set(TrailerQosTransitions, strconv.Itoa(transitions))
 	w.Header().Set(TrailerTrace, traceID)
 	rec.Finish(sessionErr)
 	if sessionErr != nil {
@@ -444,26 +504,31 @@ func (s *Server) encodeSession(ctx context.Context, w http.ResponseWriter, r *ht
 	}
 }
 
-// sessionObserver bridges codec.FrameObserver to a session's flight
-// recorder and the server-wide latency histograms. Its methods run on
-// the session goroutine (FrameAnalyzed) and the pipeline writer
-// goroutine (FrameWritten); both targets are lock-free.
+// sessionObserver bridges one rung's codec.FrameObserver events into the
+// session's flight recorder, keying slots as frame×rungs+rung (a plain
+// session is rung 0 of 1), and into the server-wide histograms and phase
+// counters. Its methods run on the session or rung goroutine
+// (FrameAnalyzed) and the pipeline writer goroutine (FrameWritten);
+// every target is lock-free.
 type sessionObserver struct {
-	rec *obs.FlightRecorder
-	h   *serverHists
+	rec         *obs.FlightRecorder
+	srv         *Server
+	rung, rungs int
 }
 
 func (o *sessionObserver) FrameAnalyzed(index int, wall, queueWait, maxStall time.Duration, intra bool, qp int) {
-	o.rec.FrameAnalyzed(index, wall, queueWait, maxStall, intra, qp)
-	o.h.analysis.Observe(wall)
+	o.rec.FrameAnalyzed(index*o.rungs+o.rung, wall, queueWait, maxStall, intra, qp)
+	o.srv.m.analysisNs.Add(int64(wall))
+	o.srv.hist.analysis.Observe(wall)
 	if queueWait > 0 {
-		o.h.queueWait.Observe(queueWait)
+		o.srv.hist.queueWait.Observe(queueWait)
 	}
 }
 
 func (o *sessionObserver) FrameWritten(index int, wall time.Duration, bits int) {
-	o.rec.FrameWritten(index, wall, bits)
-	o.h.entropy.Observe(wall)
+	o.rec.FrameWritten(index*o.rungs+o.rung, wall, bits)
+	o.srv.m.entropyNs.Add(int64(wall))
+	o.srv.hist.entropy.Observe(wall)
 }
 
 // sessionOpts carries the serving-layer (non-codec) session parameters.
@@ -477,9 +542,9 @@ type sessionOpts struct {
 	// ladder, when non-empty, makes this a simulcast session encoding
 	// every rung of the chain (top rung first).
 	ladder []codec.RungSpec
-	// newSearcher builds a fresh motion-searcher instance; set for ladder
-	// sessions, where each rung needs its own (stateful searchers would
-	// race across rung goroutines).
+	// newSearcher builds a fresh motion-searcher instance from the me and
+	// budget parameters; every rung of a session gets its own (stateful
+	// searchers would race across rung goroutines).
 	newSearcher func() (search.Searcher, error)
 }
 
@@ -537,7 +602,7 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 	cfg.Deblock = boolArg("deblock")
 	if v := q.Get("kbps"); v != "" {
 		kbps, e := strconv.ParseFloat(v, 64)
-		if e != nil || kbps < 0 {
+		if e != nil || !(kbps >= 0) || math.IsInf(kbps, 0) {
 			return cfg, opts, fmt.Errorf("bad kbps=%q", v)
 		}
 		cfg.TargetKbps = kbps
@@ -548,20 +613,29 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 	if cfg.Qp < 1 || cfg.Qp > 31 {
 		return cfg, opts, fmt.Errorf("qp %d out of range 1..31", cfg.Qp)
 	}
-	if cfg.Searcher, err = core.SearcherByName(q.Get("me")); err != nil {
-		return cfg, opts, err
-	}
+	meName, budget := q.Get("me"), 0.0
 	if v := q.Get("budget"); v != "" {
 		target, e := strconv.ParseFloat(v, 64)
-		if e != nil || target <= 0 {
+		if e != nil || !(target > 0) || math.IsInf(target, 0) {
 			return cfg, opts, fmt.Errorf("bad budget=%q (want positive positions/MB)", v)
 		}
-		if me := strings.ToLower(q.Get("me")); me != "" && me != "acbm" {
-			return cfg, opts, fmt.Errorf("budget requires the ACBM searcher (got me=%q)", q.Get("me"))
+		if me := strings.ToLower(meName); me != "" && me != "acbm" {
+			return cfg, opts, fmt.Errorf("budget requires the ACBM searcher (got me=%q)", meName)
 		}
-		if cfg.Searcher, e = core.NewBudgeted(target, core.DefaultParams); e != nil {
-			return cfg, opts, e
+		budget = target
+	}
+	opts.newSearcher = func() (search.Searcher, error) {
+		if budget > 0 {
+			b, err := core.NewBudgeted(budget, core.DefaultParams)
+			if err != nil {
+				return nil, err
+			}
+			return b, nil
 		}
+		return core.SearcherByName(meName)
+	}
+	if _, err := opts.newSearcher(); err != nil {
+		return cfg, opts, err
 	}
 	switch strings.ToLower(q.Get("entropy")) {
 	case "", "expgolomb", "eg":
@@ -580,23 +654,6 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 			return cfg, opts, fmt.Errorf("kbps is per-rung in a ladder session (use ladder=WxH@kbps)")
 		}
 		opts.ladder = specs
-		// Rebuild the searcher per rung from the same query parameters the
-		// single-session path used — fresh instances, identical config.
-		meName, budgetV := q.Get("me"), q.Get("budget")
-		opts.newSearcher = func() (search.Searcher, error) {
-			if budgetV != "" {
-				target, e := strconv.ParseFloat(budgetV, 64)
-				if e != nil {
-					return nil, fmt.Errorf("bad budget=%q", budgetV)
-				}
-				b, e := core.NewBudgeted(target, core.DefaultParams)
-				if e != nil {
-					return nil, e
-				}
-				return b, nil
-			}
-			return core.SearcherByName(meName)
-		}
 	}
 	return cfg, opts, nil
 }
