@@ -7,7 +7,8 @@
 #                       (certifies the wavefront encoder and the
 #                       multi-session serving layer on multi-core hosts)
 #   make fuzz-smoke   — a short fixed-time run of the fuzz targets on
-#                       untrusted input (the /encode query parser)
+#                       untrusted input (the /encode query parser and
+#                       the Y4M upload reader)
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
@@ -54,8 +55,8 @@
 #                       check the plane-pool counters, clean drain
 #   make bench-ladder — regenerate BENCH_ladder.json (simulcast ladder
 #                       vs N independent encodes: wall-clock speedup,
-#                       per-rung points/MB with and without cross-layer
-#                       seeding, rung-0 bit-identity gate)
+#                       per-rung points/MB, PSNR and kbps, rung-0
+#                       bit-identity gate)
 
 GO ?= go
 
@@ -72,6 +73,7 @@ test: build
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSessionConfig -fuzztime 10s ./internal/server/
+	$(GO) test -run '^$$' -fuzz FuzzY4MReader -fuzztime 10s ./internal/frame/
 
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch

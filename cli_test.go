@@ -160,6 +160,7 @@ func TestCLIRejectsBadFlags(t *testing.T) {
 	rejects("-kbps must be positive", "encode", "-i", "x.y4m", "-o", "x.acbm", "-kbps", "-5")
 	rejects("-budget must be positive", "encode", "-i", "x.y4m", "-o", "x.acbm", "-budget", "-1")
 	rejects("-budget requires -me acbm", "encode", "-i", "x.y4m", "-o", "x.acbm", "-budget", "150", "-me", "fsbm")
+	rejects("-range must be in 0..64", "encode", "-i", "x.y4m", "-o", "x.acbm", "-range", "1000000000")
 }
 
 // TestCLIRateControlComposesWithParallelism drives the refactored rate

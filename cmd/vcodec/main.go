@@ -91,7 +91,7 @@ func runEncode(args []string) error {
 		out     = fs.String("o", "", "output bitstream path")
 		qp      = fs.Int("qp", 16, "quantiser parameter (1..31)")
 		me      = fs.String("me", "acbm", "motion estimator: acbm|fsbm|pbm|rcfsbm|tss|ntss|4ss|ds|cds|hexbs")
-		rng     = fs.Int("range", 15, "search range p in full pels")
+		rng     = fs.Int("range", 15, "search range p in full pels (0..64, 0 = default 15)")
 		entropy = fs.String("entropy", "expgolomb", "entropy backend: expgolomb|arith")
 		gop     = fs.Int("gop", 0, "intra period (0 = first frame only)")
 		alpha   = fs.Int("alpha", core.DefaultParams.Alpha, "ACBM α")
@@ -114,6 +114,9 @@ func runEncode(args []string) error {
 	}
 	if *budget < 0 {
 		return fmt.Errorf("encode: -budget must be positive (got %g)", *budget)
+	}
+	if *rng < 0 || *rng > codec.MaxSearchRange {
+		return fmt.Errorf("encode: -range must be in 0..%d (got %d)", codec.MaxSearchRange, *rng)
 	}
 	searcher, err := makeSearcher(*me, *alpha, *beta, *budget)
 	if err != nil {

@@ -134,7 +134,7 @@ func main() {
 			fatal(fmt.Errorf("-ladder is an offline benchmark; drop -selfhost/-url"))
 		}
 		// Ladder defaults differ from the serve sweep's (TableTennis for
-		// its seeding-friendly motion, a 16-aligned 2:1 top size): honor a
+		// its spatially diverse motion, a 16-aligned 2:1 top size): honor a
 		// flag only when the user set it explicitly.
 		lcfg := experiment.LadderConfig{Profile: video.TableTennis, Rungs: *rungs, Seed: *seed}
 		flag.Visit(func(f *flag.Flag) {

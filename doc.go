@@ -102,9 +102,9 @@
 //     merges its stats additively in Join), scratch is recycled through
 //     sync.Pools, and entropy coding stays serial — bitstreams are
 //     bit-identical for every worker count and pool.
-//   - codec.Pipeline (codec.Config.Pipeline in EncodeSequence) overlaps
+//   - codec.Config.Pipeline (EncodeSequence, EncodeStream) overlaps
 //     the serial entropy coding of frame n with the analysis of frame
-//     n+1: analysis of n+1 needs only frame n's reconstruction and motion
+//     n+1 on one private phase-2 writer shared by both drivers: analysis of n+1 needs only frame n's reconstruction and motion
 //     field, both final when frame n's analysis ends, while the entropy
 //     coder — whose (arithmetic) state spans frames — consumes jobs
 //     strictly in frame order on one writer goroutine. One frame is in
@@ -239,19 +239,17 @@
 //     fetch-trace-by-ID → timeline-matches-stream → clean drain.
 //   - codec.EncodeLadder (vcodecd /encode?ladder=WxH@kbps,..., vcodec
 //     encode -ladder) is the simulcast ABR path: one upload fans out to
-//     N renditions that share ingest, the 2:1 downscale chain
+//     N renditions that share ingest and the 2:1 downscale chain
 //     (frame.Downscale — exact box filter, SWAR fast path pinned to the
-//     scalar reference by differential+fuzz tests, pooled outputs) and
-//     cross-layer motion analysis. Rungs encode concurrently, one
-//     goroutine per rung chained by cap-1 channels with a one-frame lag:
-//     each lower rung's searcher receives the rung above's final motion
-//     field scaled down as a search.LayerSeed — up to four extra
-//     candidate probes on the PBM predictor path, replacing the temporal
-//     predictors. Seeds never constrain the search, so every rung is
-//     independently decodable, rung 0 (never seeded) is byte-identical
-//     to a plain single encode, and the whole ladder is byte-identical
-//     across Workers × Pipeline × Pool (pinned under -race). Per-rung
-//     TargetKbps reuses the frame-lag rate controller unchanged. On the
+//     scalar reference by differential+fuzz tests, pooled outputs).
+//     Each rung is a plain EncodeStream fed by that chain; rungs encode
+//     concurrently, one goroutine per rung chained by cap-1 channels
+//     with a one-frame lag. No rung reads another's encoder state, so
+//     rung r is byte-identical to EncodePackets of the source
+//     downscaled r times, every rung is independently decodable, and
+//     the whole ladder is byte-identical across Workers × Pipeline ×
+//     Pool (pinned under -race). Per-rung TargetKbps reuses the
+//     frame-lag rate controller unchanged. On the
 //     wire, sessions interleave uvarint (rung, index, length, payload)
 //     records; `vcodec ladder-split` demultiplexes a saved session into
 //     per-rung packet artifacts, the X-Vcodec-Rungs trailer carries
@@ -261,7 +259,7 @@
 //     bench-ladder` writes BENCH_ladder.json — ladder vs N independent
 //     encodes (wall-clock speedup, bounded by 1 + Σ4⁻ʳ on one core;
 //     rung concurrency lifts it on multicore hosts) plus per-rung
-//     seeded-vs-unseeded points/MB — and `make ladder-smoke` gates CI
+//     points/MB, PSNR and kbps — and `make ladder-smoke` gates CI
 //     on serve → split → byte-match the offline ladder → decode every
 //     rung → clean drain.
 package repro

@@ -52,9 +52,8 @@
 //	go run ./cmd/vload -qos -json BENCH_qos.json    # overload ramp
 //
 // One upload can also fan out to a simulcast ABR ladder — N renditions
-// from one ingest, each lower rung's motion search seeded from the rung
-// above's scaled motion field, per-rung records interleaved on the wire
-// and every rung independently decodable:
+// from one ingest and one 2:1 downscale chain, per-rung records
+// interleaved on the wire and every rung independently decodable:
 //
 //	go run ./cmd/seqgen -profile foreman -size 128x128 -frames 30 -o l.y4m
 //	curl -sN --data-binary @l.y4m \
@@ -326,11 +325,9 @@ func main() {
 
 	// 8. The simulcast ladder: one upload, three renditions. The server
 	//    ingests the clip once, downscales 2:1 per rung through the
-	//    pooled frame substrate, and seeds each lower rung's motion
-	//    search from the rung above's scaled motion field — far cheaper
-	//    than three independent encodes, while every rung stays
-	//    independently decodable and byte-identical to the offline
-	//    codec.EncodeLadder. Records interleave on the wire (uvarint
+	//    pooled frame substrate and encodes the rungs concurrently, one
+	//    plain encode stream each — every rung independently decodable
+	//    and byte-identical to the offline codec.EncodeLadder. Records interleave on the wire (uvarint
 	//    rung, index, length, payload); the X-Vcodec-Rungs trailer
 	//    summarises frames/PSNR/kbps per rung.
 	lframes := video.Generate(video.Foreman, frame.Size{W: 128, H: 128}, 12, 1)

@@ -29,6 +29,11 @@ const DefaultIntraBias = 500
 // DefaultSearchRange is the paper's p=15.
 const DefaultSearchRange = 15
 
+// MaxSearchRange is the largest search range the CLI and /encode accept
+// from a user. The range sizes every reference plane's apron, so an
+// untrusted value must be bounded before it reaches Config.
+const MaxSearchRange = 64
+
 // Config controls one encode.
 type Config struct {
 	// Qp is the H.263 quantiser parameter (1..31).
@@ -75,12 +80,12 @@ type Config struct {
 	// the one frame in flight, so rate control composes with Workers,
 	// Pipeline and Pool — same bits in every mode, full parallelism.
 	TargetKbps float64
-	// Pipeline makes EncodeSequence overlap the serial entropy coding of
-	// frame n with the analysis of frame n+1 (one frame in flight; see
-	// codec.Pipeline). The bitstream and statistics are byte-identical to
-	// a serial encode for every Workers value, with or without rate
-	// control (the frame-lag controller never waits on the in-flight
-	// frame's bits).
+	// Pipeline makes EncodeSequence and EncodeStream overlap the serial
+	// entropy coding of frame n with the analysis of frame n+1 on one
+	// writer goroutine (one frame in flight; see frameWriter). The
+	// bitstream and statistics are byte-identical to a serial encode for
+	// every Workers value, with or without rate control (the frame-lag
+	// controller never waits on the in-flight frame's bits).
 	Pipeline bool
 	// Pool, when non-nil, runs macroblock analysis on this shared worker
 	// pool, and Workers is ignored. This is the multi-session serving mode

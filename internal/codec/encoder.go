@@ -98,12 +98,6 @@ type Encoder struct {
 	// frame's analysis, forcing that frame intra so the swap never reads
 	// another searcher's motion-field assumptions.
 	pendingSearcher search.Searcher
-	// curSeed is the cross-layer motion seed for the current frame's
-	// analysis (simulcast ladder: the rung above's scaled field). Set by
-	// the ladder driver on the analysis goroutine before analyzeFrameJob
-	// and cleared after; nil everywhere else, so single-rung encodes are
-	// untouched. Workers read it only through the per-MB scratch Input.
-	curSeed search.LayerSeed
 	// rcPrevJob is the last job whose write phase began: frameHandoff
 	// settles its wroteBits at the next hand-off. One field serves the
 	// serial and pipelined drivers alike (see frameHandoff for the memory
@@ -124,12 +118,6 @@ type Encoder struct {
 	prevField *mvfield.Field
 	frames    int
 
-	// Cumulative wall clock per phase. In pipelined encodes the two
-	// fields are owned by different goroutines (analysis by the caller,
-	// entropy by the writer) and only read after Flush.
-	analysisTime time.Duration
-	entropyTime  time.Duration
-
 	// obsWaitNs/obsStallNs accumulate the current frame's shared-pool
 	// queue wait (summed across MB tasks, and the worst single task).
 	// Pool workers add via noteQueueWait; the session goroutine drains
@@ -139,14 +127,6 @@ type Encoder struct {
 	obsStallNs atomic.Int64
 
 	stats SequenceStats
-}
-
-// PhaseTimes returns the cumulative wall clock spent in phase 1
-// (macroblock analysis: motion search, transforms, reconstruction) and
-// phase 2 (entropy coding and statistics). In pipeline mode the phases
-// overlap, so the sum can exceed the encode's wall-clock time.
-func (e *Encoder) PhaseTimes() (analysis, entropy time.Duration) {
-	return e.analysisTime, e.entropyTime
 }
 
 // NewEncoder returns an encoder for the given configuration.
@@ -226,7 +206,7 @@ func (e *Encoder) Reconstruction() *frame.Frame {
 // the two phases can run on different goroutines for *different* frames:
 // entropy coding of frame n only reads its job, while analysis of frame
 // n+1 reads the encoder's reference state — which is final once the job
-// for frame n has been built (see pipeline.go for the overlap contract).
+// for frame n has been built (see frameWriter for the overlap contract).
 type frameJob struct {
 	index    int            // frame number within the sequence
 	src      *frame.Frame   // source frame (PSNR); must not change until written
@@ -350,7 +330,6 @@ func (e *Encoder) analyzeFrameJob(f *frame.Frame) (*frameJob, error) {
 	}
 	e.frames++
 	wall := time.Since(start)
-	e.analysisTime += wall
 	if ob := e.cfg.Observer; ob != nil {
 		ob.FrameAnalyzed(j.index, wall,
 			time.Duration(e.obsWaitNs.Swap(0)), time.Duration(e.obsStallNs.Swap(0)),
@@ -413,7 +392,6 @@ func (e *Encoder) writeFrameJob(j *frameJob) FrameStats {
 	fs.Qp = j.qp
 	j.wroteBits = fs.Bits
 	wall := time.Since(start)
-	e.entropyTime += wall
 	if ob := e.cfg.Observer; ob != nil {
 		ob.FrameWritten(j.index, wall, fs.Bits)
 	}
@@ -610,7 +588,6 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon
 		Range: e.cfg.SearchRange, Qp: e.curQp,
 		CurField: curField, PrevField: e.prevField,
 		MBX: mbx, MBY: mby,
-		Seed:            e.curSeed,
 		PixelDecimation: e.cfg.PixelDecimation,
 	}
 	res := s.Search(in)
@@ -756,28 +733,28 @@ func (e *Encoder) writeInterMB(r *mbResult, curField *mvfield.Field, mbx, mby in
 }
 
 // EncodeSequence encodes frames with cfg and returns the statistics and
-// the finalised bitstream. With cfg.Pipeline set it drives the
-// cross-frame pipeline (pipeline.go); the output is byte-identical either
-// way.
+// the finalised bitstream. With cfg.Pipeline set, entropy coding runs on
+// the frameWriter's goroutine, overlapping the next frame's analysis; the
+// output is byte-identical either way.
 func EncodeSequence(cfg Config, frames []*frame.Frame) (*SequenceStats, []byte, error) {
 	if len(frames) == 0 {
 		return nil, nil, fmt.Errorf("codec: no frames to encode")
 	}
-	if cfg.Pipeline {
-		p := NewPipeline(cfg)
-		for i, f := range frames {
-			if err := p.EncodeFrame(f); err != nil {
-				p.Flush() // drain the writer goroutine before bailing
-				return nil, nil, fmt.Errorf("codec: frame %d: %w", i, err)
-			}
-		}
-		return p.Flush()
-	}
 	e := NewEncoder(cfg)
+	w := newFrameWriter(e, cfg.Pipeline, func(j *frameJob) error {
+		e.writeFrameJob(j)
+		return nil
+	})
 	for i, f := range frames {
-		if _, err := e.EncodeFrame(f); err != nil {
+		j, err := e.analyzeFrameJob(f)
+		if err == nil {
+			err = w.submit(j)
+		}
+		if err != nil {
+			w.close() // drain the writer goroutine before bailing
 			return nil, nil, fmt.Errorf("codec: frame %d: %w", i, err)
 		}
 	}
+	w.close()
 	return e.Stats(), e.Bitstream(), nil
 }

@@ -8,32 +8,23 @@ import (
 	"sync"
 
 	"repro/internal/frame"
-	"repro/internal/mvfield"
-	"repro/internal/search"
 )
 
 // Simulcast ladder: one source ingested once, encoded into N renditions
-// (rungs) halving in each dimension, with each lower rung's motion search
-// seeded from the rung above's scaled motion field (search.LayerSeed on
-// the PBM predictor path).
+// (rungs) halving in each dimension. Each rung is a plain EncodeStream fed
+// by the downscale chain — no rung reads another's encoder state — so
+// rung r's packets are byte-identical to EncodePackets of the source
+// downscaled r times (TestLadderRungsMatchIndependentEncodes) and every
+// rung decodes with the unmodified packet decoder.
 //
 // Topology: one goroutine per rung, chained by capacity-1 channels. Rung
-// r's goroutine analyses frame n, then downscales its source frame
-// (frame.DownscaleFrame, pooled output) and hands {frame, motion field}
-// to rung r+1 — so rung r+1 analyses frame n while rung r is already on
-// frame n+1: a one-frame lag between adjacent rungs, pipelined exactly
-// like the phase overlap of PR 2. The hand-off rides the frame hand-off
-// point: EncodeFrameSeeded returns only after the frame's analysis is
-// complete, so the field a lower rung receives is final — never a
-// partially computed wavefront.
-//
-// Determinism: a rung's seed for frame n is a pure function of the rung
-// above's (worker-invariant) field for frame n, and seeds are evaluated
-// as ordinary predictor probes. By induction every rung's bitstream is
-// byte-identical across Workers × Pipeline × Pool, and — the seeds only
-// ever influence which motion vectors are *chosen*, never how they are
-// *coded* — each rung is independently decodable by the unmodified
-// decoder (TestLadderBitIdenticalAcrossModes pins both).
+// r's goroutine encodes frame n, then downscales its source frame
+// (frame.DownscaleFrame, pooled output) and hands it to rung r+1 — so
+// rung r+1 encodes frame n while rung r is already on frame n+1, the
+// rungs pipelined like the phase overlap of the frame writer. Since every
+// rung's packets are those of an independent encode, they are
+// byte-identical across Workers × Pipeline × Pool
+// (TestLadderBitIdenticalAcrossModes).
 
 // RungSpec is one rendition of a ladder: its frame format and, when
 // non-zero, the bitrate target its frame-lag rate controller steers to.
@@ -79,8 +70,8 @@ func ParseLadderSpec(s string) ([]RungSpec, error) {
 
 // ValidateLadder checks a rung chain: at least one rung, every size
 // divisible into 16×16 macroblocks, and each rung exactly half the
-// previous in both dimensions (the 2:1 relation frame.Downscale and
-// search.FieldSeed assume).
+// previous in both dimensions (the 2:1 relation frame.DownscaleFrame
+// produces).
 func ValidateLadder(specs []RungSpec) error {
 	if len(specs) == 0 {
 		return fmt.Errorf("codec: empty ladder")
@@ -110,19 +101,12 @@ type Rung struct {
 	Cfg  Config
 }
 
-// ladderItem is one frame travelling down the rung chain: the rung's
-// (downscaled, pooled) source and the motion field the rung above found
-// for it — nil for intra frames, where the lower rung simply falls back
-// to its ordinary predictor set.
-type ladderItem struct {
-	f    *frame.Frame
-	seed *mvfield.Field
-}
-
 type ladderRung struct {
-	size  frame.Size
-	es    *EncodeStream
-	in    chan ladderItem
+	size frame.Size
+	es   *EncodeStream
+	// in carries the rung's source frames: caller-owned for rung 0,
+	// downscaled (pooled, ladder-owned) below it.
+	in    chan *frame.Frame
 	done  chan struct{}
 	stats *SequenceStats
 }
@@ -164,7 +148,7 @@ func NewLadderStream(rungs []Rung, emit func(rung int, p Packet) error) (*Ladder
 	for i, r := range rungs {
 		rung := &ladderRung{
 			size: r.Size,
-			in:   make(chan ladderItem, 1), // one-frame lag between adjacent rungs
+			in:   make(chan *frame.Frame, 1), // one-frame lag between adjacent rungs
 			done: make(chan struct{}),
 		}
 		idx := i
@@ -209,51 +193,42 @@ func (l *LadderStream) EncodeFrame(f *frame.Frame) error {
 	if f.Size() != l.rungs[0].size {
 		return fmt.Errorf("codec: ladder source is %v, top rung wants %v", f.Size(), l.rungs[0].size)
 	}
-	l.rungs[0].in <- ladderItem{f: f}
+	l.rungs[0].in <- f
 	l.frames++
 	return nil
 }
 
-// runRung is rung r's encode loop: seed from the upper field, encode,
-// downscale and hand down, recycle the previous downscaled source.
+// runRung is rung r's encode loop: encode, downscale and hand down,
+// recycle the previous downscaled source.
 func (l *LadderStream) runRung(r int) {
 	rung := l.rungs[r]
 	// prev is the rung's previous (downscaled, ladder-owned) source frame.
 	// Its last readers are its own packet write (PSNR) and the downscale
 	// for the rung below — both complete by the time the *next* frame's
-	// EncodeFrameSeeded returns (the pipeline writer accepts frame n+1's
-	// job only after finishing frame n), so it is recycled one frame late.
+	// EncodeFrame returns (the pipeline writer accepts frame n+1's job
+	// only after finishing frame n), so it is recycled one frame late.
 	// Rung 0 sources are caller-owned and never released here.
 	var prev *frame.Frame
-	poisoned := false
-	for item := range rung.in {
-		if poisoned || l.Err() != nil {
-			poisoned = true
-			if r > 0 {
-				item.f.Release()
+	for f := range rung.in {
+		if l.Err() == nil {
+			err := rung.es.EncodeFrame(f)
+			if err == nil {
+				if r < l.last {
+					l.rungs[r+1].in <- frame.DownscaleFrame(f)
+				}
+				if r > 0 {
+					prev.Release()
+					prev = f
+				}
+				continue
 			}
-			continue
-		}
-		var seed search.LayerSeed
-		if item.seed != nil {
-			seed = &search.FieldSeed{Field: item.seed, Shift: 1}
-		}
-		field, err := rung.es.EncodeFrameSeeded(item.f, seed)
-		if err != nil {
 			l.setErr(fmt.Errorf("codec: ladder rung %d: %w", r, err))
-			poisoned = true
-			if r > 0 {
-				item.f.Release()
-			}
-			continue
 		}
-		if r < l.last {
-			down := frame.DownscaleFrame(item.f)
-			l.rungs[r+1].in <- ladderItem{f: down, seed: field}
-		}
+		// Poisoned (the first error sticks): drain without encoding. A
+		// failed EncodeFrame leaves no job in flight, so the source is
+		// free to recycle.
 		if r > 0 {
-			prev.Release()
-			prev = item.f
+			f.Release()
 		}
 	}
 	if r < l.last {

@@ -98,8 +98,8 @@ func TestLadderBitIdenticalAcrossModes(t *testing.T) {
 }
 
 // TestLadderSingleRungMatchesEncodePackets: a 1-rung ladder is exactly
-// the plain packet encode — no seed ever reaches rung 0, so the ladder
-// path cannot disturb single-rendition output.
+// the plain packet encode, so the ladder path cannot disturb
+// single-rendition output.
 func TestLadderSingleRungMatchesEncodePackets(t *testing.T) {
 	frames := video.Generate(video.Carphone, frame.SQCIF, 6, 9)
 	cfg := Config{Qp: 16, SearchRange: 7, Searcher: &search.PBM{}}
@@ -121,33 +121,44 @@ func TestLadderSingleRungMatchesEncodePackets(t *testing.T) {
 	}
 }
 
-// TestLadderSeedingSavesPoints: on content with a spatially diverse
-// motion field (TableTennis pans and zooms, so temporal neighbourhoods
-// hold distinct vectors) the seeded lower rung must evaluate fewer
-// candidates per macroblock than the same rung encoded independently —
-// ≤ 4 seeds replace ≤ 9 temporal probes.
-func TestLadderSeedingSavesPoints(t *testing.T) {
+// TestLadderRungsMatchIndependentEncodes: every rung is a plain
+// EncodeStream fed by the downscale chain, so rung r's packets must be
+// byte-identical to EncodePackets of the source downscaled r times —
+// including a rate-controlled rung, whose frame-lag controller sees only
+// its own rung's bits.
+func TestLadderRungsMatchIndependentEncodes(t *testing.T) {
 	top := frame.Size{W: 128, H: 128}
 	frames := video.Generate(video.TableTennis, top, 10, 5)
-	rungs := []Rung{
-		{Size: top, Cfg: Config{Qp: 14, SearchRange: 15, Searcher: &search.PBM{}}},
-		{Size: frame.Size{W: 64, H: 64}, Cfg: Config{Qp: 14, SearchRange: 15, Searcher: &search.PBM{}}},
+	cfgs := []Config{
+		{Qp: 14, SearchRange: 15, Searcher: &search.PBM{}},
+		{Qp: 14, SearchRange: 15, Searcher: &search.PBM{}, TargetKbps: 60, FPS: 30},
+		{Qp: 14, SearchRange: 15, Searcher: &search.PBM{}},
 	}
-	_, stats, err := EncodeLadder(rungs, frames)
+	rungs := make([]Rung, len(cfgs))
+	for r, cfg := range cfgs {
+		rungs[r] = Rung{Size: frame.Size{W: top.W >> r, H: top.H >> r}, Cfg: cfg}
+	}
+	got, _, err := EncodeLadder(rungs, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Independent encode of the same downscaled content.
-	down1 := make([]*frame.Frame, len(frames))
-	for i, f := range frames {
-		down1[i] = frame.DownscaleFrame(f)
-	}
-	_, solo, err := EncodePackets(Config{Qp: 14, SearchRange: 15, Searcher: &search.PBM{}}, down1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ladder, ind := stats[1].AvgSearchPointsPerMB(), solo.AvgSearchPointsPerMB(); ladder >= ind {
-		t.Errorf("seeded rung 1 points/MB = %.2f, independent = %.2f (want saving)", ladder, ind)
+	in := frames
+	for r, cfg := range cfgs {
+		if r > 0 {
+			down := make([]*frame.Frame, len(in))
+			for i, f := range in {
+				down[i] = frame.DownscaleFrame(f)
+			}
+			in = down
+		}
+		cfg.Searcher = &search.PBM{}
+		want, _, err := EncodePackets(cfg, in)
+		if err != nil {
+			t.Fatalf("rung %d: %v", r, err)
+		}
+		if !packetsEqual(got[r], want) {
+			t.Errorf("rung %d: ladder packets differ from an independent encode", r)
+		}
 	}
 }
 

@@ -112,8 +112,9 @@ func TestParallelDecodesToSameFrames(t *testing.T) {
 // TestPipelineBitIdentical is the golden guarantee of the cross-frame
 // pipeline: for every Table 1 profile and for Workers ∈ {1, 4}, the
 // pipelined EncodeSequence must produce the byte-for-byte bitstream and
-// statistics of a sequential EncodeFrame loop. Run with -race in CI (see
-// Makefile) to also certify the analysis/entropy overlap.
+// statistics of a sequential EncodeFrame loop, and the decoder must
+// reconstruct it exactly. Run with -race in CI (see Makefile) to also
+// certify the analysis/entropy overlap.
 func TestPipelineBitIdentical(t *testing.T) {
 	for _, prof := range video.Profiles {
 		frames := video.Generate(prof, frame.QCIF, 4, 7)
@@ -142,14 +143,21 @@ func TestPipelineBitIdentical(t *testing.T) {
 				t.Errorf("%v workers=%d: pipelined stats differ\n got %+v\nwant %+v",
 					prof, workers, stats, refStats)
 			}
+			decoded, err := Decode(bs)
+			if err != nil {
+				t.Fatalf("%v workers=%d: decode: %v", prof, workers, err)
+			}
+			if len(decoded) != len(frames) || !decoded[len(decoded)-1].Equal(ref.Reconstruction()) {
+				t.Errorf("%v workers=%d: decoded pipelined stream differs from encoder reconstruction", prof, workers)
+			}
 		}
 	}
 }
 
 // TestPipelineModesAndRateControl covers the pipeline's edge configs: the
 // arithmetic entropy backend (whose coder state spans frame boundaries),
-// intra periods, deblocking — and rate control, where the pipeline must
-// degrade to serial and still match exactly.
+// intra periods, deblocking — and rate control, where the frame-lag
+// controller keeps the overlap and must still match exactly.
 func TestPipelineModesAndRateControl(t *testing.T) {
 	frames := parallelFrames(6)
 	for _, cfg := range []Config{
@@ -173,40 +181,6 @@ func TestPipelineModesAndRateControl(t *testing.T) {
 		if !bytes.Equal(bs, refBS) {
 			t.Errorf("cfg=%+v: pipelined bitstream differs (%d vs %d bytes)", cfg, len(bs), len(refBS))
 		}
-	}
-}
-
-// TestPipelineFlushSemantics pins the driver API: Flush is idempotent,
-// EncodeFrame after Flush fails, and the decoder reconstructs a pipelined
-// stream exactly.
-func TestPipelineFlushSemantics(t *testing.T) {
-	frames := parallelFrames(3)
-	p := NewPipeline(Config{Qp: 16, Workers: 2})
-	for _, f := range frames {
-		if err := p.EncodeFrame(f); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stats, bs, err := p.Flush()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stats.Frames) != 3 {
-		t.Fatalf("stats cover %d frames, want 3", len(stats.Frames))
-	}
-	_, bs2, err := p.Flush()
-	if err != nil || !bytes.Equal(bs, bs2) {
-		t.Fatalf("Flush not idempotent: %v", err)
-	}
-	if err := p.EncodeFrame(frames[0]); err == nil {
-		t.Fatal("EncodeFrame after Flush did not fail")
-	}
-	decoded, err := Decode(bs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(decoded) != 3 {
-		t.Fatalf("decoded %d frames, want 3", len(decoded))
 	}
 }
 

@@ -1,15 +1,12 @@
 package codec
 
-import (
-	"fmt"
-	"time"
-
-	"repro/internal/frame"
-)
-
-// Pipeline is the cross-frame two-phase encode driver: it overlaps the
-// serial entropy coding (phase 2) of frame n with the — possibly
-// wavefront-parallel — macroblock analysis (phase 1) of frame n+1.
+// frameWriter is the one phase-2 driver behind EncodeSequence and
+// EncodeStream. It hands each analysed frameJob to a sink (writeFrameJob
+// for the contiguous stream, EncodeStream.emitJob for packets), either
+// inline on the caller's goroutine or — with Config.Pipeline — on one
+// writer goroutine, so the serial entropy coding (phase 2) of frame n
+// overlaps the possibly wavefront-parallel macroblock analysis (phase 1)
+// of frame n+1.
 //
 // The overlap is legal because the two phases touch disjoint state for
 // different frames:
@@ -19,93 +16,120 @@ import (
 //     which no analysis step ever touches;
 //   - analysis of frame n+1 needs only frame n's reconstruction and
 //     motion field as prediction context, and both are final when
-//     analyzeFrameJob for frame n returns — before its job is handed to
-//     the writer.
+//     analyzeFrameJob for frame n returns — before its job is submitted.
 //
-// Exactly one frame is in flight: EncodeFrame hands the analysed job to
-// the writer goroutine over an unbuffered channel, so analysis of the
-// next frame proceeds while the previous frame is serialised. Jobs reach
-// the writer in frame order, which keeps the (stateful) entropy coder —
-// in particular the adaptive arithmetic contexts — seeing the exact
-// symbol sequence of a serial encode: bitstreams are byte-identical to an
-// EncodeFrame loop for every Config.Workers value, which
-// TestPipelineBitIdentical enforces.
+// Exactly one frame is in flight: submit hands the job to the writer
+// goroutine over an unbuffered channel, and jobs reach the sink in frame
+// order, which keeps the (stateful) entropy coder — in particular the
+// adaptive arithmetic contexts — seeing the exact symbol sequence of an
+// inline encode. Output is byte-identical for every Workers/Pool/Pipeline
+// setting (TestPipelineBitIdentical, TestPacketsPipelineBitIdentical).
 //
 // Buffer safety: the mbResult slabs and half-pel reference grids are
-// pooled (sync.Pool), and the pipeline naturally double-buffers them —
-// frame n's slab is returned to the pool only after phase 2 finishes, by
-// which time frame n+1's analysis has already drawn a fresh one. The
-// source frame passed to EncodeFrame must not be mutated until Flush (or
-// the next EncodeFrame call) returns, since PSNR statistics read it on
-// the writer goroutine.
+// pooled, and the overlap naturally double-buffers them — frame n's slab
+// returns to the pool only after phase 2 finishes, by which time frame
+// n+1's analysis has drawn a fresh one. A submitted job's source frame is
+// read (PSNR) until the writer accepts the next job, or until close.
 //
-// Rate control (Config.TargetKbps > 0) keeps the full overlap: the
-// quantiser for frame n+1 is chosen by the frame-lag controller
-// (rateController) at frame n's hand-off, from the actual bit counts of
-// frames 0..n-1 — which the writer has finished by then, the unbuffered
-// channel being exactly that synchronisation point — plus a predicted
-// size for frame n computed from its worker-invariant analysis results.
-// The serial EncodeFrame loop runs the identical plan/settle sequence, so
-// rate-controlled bitstreams stay byte-identical to it too.
-type Pipeline struct {
-	e       *Encoder
-	jobs    chan *frameJob
-	done    chan struct{}
-	flushed bool
+// Every submitted job passes through frameHandoff at the moment its write
+// begins (pipelined) or has finished (inline), which is what keeps the
+// frame-lag rate controller's decisions — and with them rate-controlled
+// bitstreams — identical across modes.
+//
+// A sink error poisons the writer: the failing frame's bits are lost,
+// every later job is dropped (its slab recycled) and submit, poisoned and
+// close all return the error.
+type frameWriter struct {
+	e    *Encoder
+	sink func(*frameJob) error
+
+	// Pipelined plumbing; jobs is nil for the inline writer. err is
+	// written only by the goroutine running the sink — the caller's when
+	// inline, the writer goroutine's (before it closes failed) when
+	// pipelined, where readers observe it through <-failed or <-done.
+	jobs   chan *frameJob
+	done   chan struct{}
+	failed chan struct{}
+	err    error
 }
 
-// NewPipeline returns a pipelined encoder for cfg. Frames are submitted
-// with EncodeFrame; Flush finalises the stream.
-func NewPipeline(cfg Config) *Pipeline {
-	p := &Pipeline{
-		e:    NewEncoder(cfg),
-		jobs: make(chan *frameJob), // unbuffered: exactly one frame in flight
-		done: make(chan struct{}),
+func newFrameWriter(e *Encoder, pipeline bool, sink func(*frameJob) error) *frameWriter {
+	w := &frameWriter{e: e, sink: sink}
+	if !pipeline {
+		return w
 	}
+	w.jobs = make(chan *frameJob) // unbuffered: one frame in flight
+	w.done = make(chan struct{})
+	w.failed = make(chan struct{})
 	go func() {
-		defer close(p.done)
-		for j := range p.jobs {
-			p.e.writeFrameJob(j)
+		defer close(w.done)
+		for j := range w.jobs {
+			if w.err != nil {
+				dropJob(j)
+				continue
+			}
+			if err := w.sink(j); err != nil {
+				w.err = err
+				close(w.failed)
+			}
 		}
 	}()
-	return p
+	return w
 }
 
-// EncodeFrame analyses f and queues it for entropy coding. It returns
-// once the analysis phase is complete; the frame's bits may still be in
-// flight on the writer goroutine (per-frame statistics are therefore
-// available only from Stats after Flush).
-func (p *Pipeline) EncodeFrame(f *frame.Frame) error {
-	if p.flushed {
-		return fmt.Errorf("codec: pipeline already flushed")
-	}
-	j, err := p.e.analyzeFrameJob(f)
-	if err != nil {
-		return err
-	}
-	p.jobs <- j
-	p.e.frameHandoff(j)
-	return nil
+// dropJob discards an analysed frame that will never be written,
+// recycling its results slab.
+func dropJob(j *frameJob) {
+	putMBResults(j.results)
+	j.results = nil
 }
 
-// Flush drains the writer, finalises the bitstream and returns the
-// sequence statistics and encoded bytes. It is idempotent; EncodeFrame
-// must not be called afterwards.
-func (p *Pipeline) Flush() (*SequenceStats, []byte, error) {
-	if !p.flushed {
-		close(p.jobs)
-		<-p.done
-		p.flushed = true
+// poisoned returns the sink error once phase 2 has failed, nil before. It
+// never blocks, so callers can skip analysing a frame that would be
+// dropped.
+func (w *frameWriter) poisoned() error {
+	if w.jobs == nil {
+		return w.err
 	}
-	return p.e.Stats(), p.e.Bitstream(), nil
+	select {
+	case <-w.failed:
+		return w.err
+	default:
+		return nil
+	}
 }
 
-// PhaseTimes returns the cumulative per-phase wall clock (see
-// Encoder.PhaseTimes). Valid only after Flush: before that the writer
-// goroutine still owns the entropy counter.
-func (p *Pipeline) PhaseTimes() (analysis, entropy time.Duration) {
-	if !p.flushed {
-		panic("codec: Pipeline.PhaseTimes before Flush")
+// submit hands an analysed job to phase 2 and runs its frame hand-off.
+// Inline, the job is written before submit returns; pipelined, submit
+// returns once the writer goroutine has accepted it.
+func (w *frameWriter) submit(j *frameJob) error {
+	if w.jobs == nil {
+		if w.err != nil {
+			dropJob(j)
+			return w.err
+		}
+		if w.err = w.sink(j); w.err != nil {
+			return w.err
+		}
+		w.e.frameHandoff(j)
+		return nil
 	}
-	return p.e.PhaseTimes()
+	select {
+	case w.jobs <- j:
+		w.e.frameHandoff(j)
+		return nil
+	case <-w.failed:
+		dropJob(j)
+		return w.err
+	}
+}
+
+// close drains the writer goroutine and returns the first sink error.
+// Call it exactly once; submit must not be called afterwards.
+func (w *frameWriter) close() error {
+	if w.jobs != nil {
+		close(w.jobs)
+		<-w.done
+	}
+	return w.err
 }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/bitstream"
 	"repro/internal/entropy"
 	"repro/internal/frame"
-	"repro/internal/mvfield"
-	"repro/internal/search"
 )
 
 // Packet is one unit of the packetized transport: Index 0 carries the
@@ -34,8 +32,8 @@ type Packet struct {
 // behind a blocked emit, and in serial mode none.
 //
 // Pipelining: with Config.Pipeline set, entropy coding of frame n
-// overlaps analysis of frame n+1 exactly as in
-// codec.Pipeline — EncodeFrame returns once analysis completes and a
+// overlaps analysis of frame n+1 on the shared phase-2 writer
+// (frameWriter) — EncodeFrame returns once analysis completes and the
 // writer goroutine serialises + emits the packet. Packets are
 // byte-identical to the serial path for every Workers/Pool setting: each
 // packet has private entropy state, and analysis results are worker-count
@@ -54,51 +52,23 @@ type Packet struct {
 // packet has been emitted (Close at the latest) — PSNR statistics read it
 // on the writer goroutine.
 type EncodeStream struct {
-	e       *Encoder
-	emit    func(Packet) error
-	overlap bool
-	closed  bool
+	e      *Encoder
+	emit   func(Packet) error
+	w      *frameWriter
+	closed bool
 
 	// pending is the QoS actuation mailbox (see Actuate): drained on the
 	// session goroutine at the top of EncodeFrame, so every actuated
 	// parameter is fixed before the frame's analysis begins.
 	pending pendingActuation
-
-	// Pipeline-mode plumbing. werr is written only by the writer
-	// goroutine, before it closes failed; readers observe it through
-	// <-failed or <-done.
-	jobs   chan *frameJob
-	done   chan struct{}
-	failed chan struct{}
-	werr   error
 }
 
 // NewEncodeStream starts a streaming session for cfg; packets are
 // delivered to emit. The caller must call Close to release the writer
 // goroutine and collect the final statistics.
 func NewEncodeStream(cfg Config, emit func(Packet) error) *EncodeStream {
-	e := NewEncoder(cfg)
-	s := &EncodeStream{e: e, emit: emit, overlap: cfg.Pipeline}
-	if s.overlap {
-		s.jobs = make(chan *frameJob) // unbuffered: one frame in flight
-		s.done = make(chan struct{})
-		s.failed = make(chan struct{})
-		go func() {
-			defer close(s.done)
-			for j := range s.jobs {
-				if s.werr != nil {
-					// Poisoned: drop the frame, recycle its slab.
-					putMBResults(j.results)
-					j.results = nil
-					continue
-				}
-				if _, err := s.emitJob(j); err != nil {
-					s.werr = err
-					close(s.failed)
-				}
-			}
-		}()
-	}
+	s := &EncodeStream{e: NewEncoder(cfg), emit: emit}
+	s.w = newFrameWriter(s.e, cfg.Pipeline, s.emitJob)
 	return s
 }
 
@@ -106,75 +76,32 @@ func NewEncodeStream(cfg Config, emit func(Packet) error) *EncodeStream {
 // mode) its packet. In pipeline mode it returns when analysis is done;
 // the packet may still be in flight on the writer goroutine.
 func (s *EncodeStream) EncodeFrame(f *frame.Frame) error {
-	_, err := s.encodeFrame(f, nil)
-	return err
-}
-
-// EncodeFrameSeeded is EncodeFrame with a cross-layer motion seed for
-// this frame's analysis, returning the frame's final motion field (nil
-// for intra frames) so a ladder driver can seed the rung below. The
-// returned field is read-only and remains valid: the encoder only ever
-// reads it (as the next frame's PrevField) after this call returns.
-func (s *EncodeStream) EncodeFrameSeeded(f *frame.Frame, seed search.LayerSeed) (*mvfield.Field, error) {
-	return s.encodeFrame(f, seed)
-}
-
-func (s *EncodeStream) encodeFrame(f *frame.Frame, seed search.LayerSeed) (*mvfield.Field, error) {
 	if s.closed {
-		return nil, fmt.Errorf("codec: encode stream closed")
+		return fmt.Errorf("codec: encode stream closed")
 	}
-	if s.overlap {
-		select {
-		case <-s.failed:
-			return nil, s.werr
-		default:
-		}
+	if err := s.w.poisoned(); err != nil {
+		return err
 	}
 	if a := s.pending.Swap(nil); a != nil {
 		s.e.applyActuation(*a)
 	}
-	s.e.curSeed = seed
 	j, err := s.e.analyzeFrameJob(f)
-	s.e.curSeed = nil
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if !s.overlap {
-		if s.werr != nil {
-			putMBResults(j.results)
-			j.results = nil
-			return nil, s.werr
-		}
-		if _, err := s.emitJob(j); err != nil {
-			s.werr = err
-			return nil, err
-		}
-		// Frame-lag protocol even though j's bits are already known: the
-		// controller must see exactly what a pipelined session would.
-		s.e.frameHandoff(j)
-		return j.curField, nil
-	}
-	select {
-	case s.jobs <- j:
-		s.e.frameHandoff(j)
-		return j.curField, nil
-	case <-s.failed:
-		putMBResults(j.results)
-		j.results = nil
-		return nil, s.werr
-	}
+	return s.w.submit(j)
 }
 
 // emitJob serialises one analysed frame into its packet and hands it (and,
 // first, the header packet before frame 0) to emit.
-func (s *EncodeStream) emitJob(j *frameJob) (FrameStats, error) {
+func (s *EncodeStream) emitJob(j *frameJob) error {
 	if j.index == 0 {
 		if err := s.emit(Packet{Index: 0, Data: s.e.headerPacket()}); err != nil {
-			return FrameStats{}, err
+			return err
 		}
 	}
 	pkt, fs := s.e.writeFramePacket(j)
-	return fs, s.emit(Packet{Index: j.index + 1, Data: pkt, Stats: fs})
+	return s.emit(Packet{Index: j.index + 1, Data: pkt, Stats: fs})
 }
 
 // Close drains the writer goroutine, finalises the session and returns
@@ -184,13 +111,10 @@ func (s *EncodeStream) emitJob(j *frameJob) (FrameStats, error) {
 func (s *EncodeStream) Close() (*SequenceStats, error) {
 	if !s.closed {
 		s.closed = true
-		if s.overlap {
-			close(s.jobs)
-			<-s.done
-		}
+		s.w.close()
 		s.e.rcPrevJob = nil // release the last retained frame pair
 	}
-	return s.e.Stats(), s.werr
+	return s.e.Stats(), s.w.err
 }
 
 // headerPacket builds packet 0: the sequence header (size + entropy
@@ -219,7 +143,6 @@ func (e *Encoder) writeFramePacket(j *frameJob) ([]byte, FrameStats) {
 	fs.Qp = j.qp
 	j.wroteBits = fs.Bits
 	wall := time.Since(start)
-	e.entropyTime += wall
 	if ob := e.cfg.Observer; ob != nil {
 		ob.FrameWritten(j.index, wall, fs.Bits)
 	}

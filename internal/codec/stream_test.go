@@ -220,7 +220,7 @@ func TestEncodeStreamRateControl(t *testing.T) {
 		pkts = append(pkts, p.Data)
 		return nil
 	})
-	if !s.overlap {
+	if s.w.jobs == nil {
 		t.Fatal("rate-controlled stream degraded to serial")
 	}
 	for i, f := range frames {

@@ -22,22 +22,20 @@ import (
 //     every rung, which is what producing the ladder takes without
 //     cross-layer sharing.
 //   - Ladder: codec.EncodeLadder — the source ingested once, rungs
-//     pipelined with a one-frame lag, each lower rung's searcher
-//     (LowSearcher, PBM by default) seeded from the rung above's scaled
-//     motion field.
+//     pipelined with a one-frame lag, the lower rungs on a cheaper
+//     searcher (LowSearcher, PBM by default).
 //
-// The report carries the wall-clock speedup, per-rung quality/bitrate of
-// both modes (so the cheap seeded search is accountable for its PSNR),
-// and a seeding-isolation column: the same lower-rung searcher with and
-// without the cross-layer seed, points/block. Rung 0 takes no seed, so
-// its ladder stream must be byte-identical to its independent encode —
-// the benchmark fails rather than report a speedup over different bits.
+// The report carries the wall-clock speedup and per-rung quality/bitrate
+// of both modes, so the cheap lower-rung search is accountable for its
+// PSNR. Rung 0 runs the same searcher in both modes, so its ladder
+// stream must be byte-identical to its independent encode — the
+// benchmark fails rather than report a speedup over different bits.
 
 // LadderConfig configures RunLadder.
 type LadderConfig struct {
-	// Profile is the synthetic clip (callers should pass
-	// video.TableTennis for the headline run: its pan+zoom gives the
-	// spatially diverse motion field cross-layer seeding thrives on).
+	// Profile is the synthetic clip (callers pass video.TableTennis for
+	// the headline run: its pan+zoom gives a spatially diverse motion
+	// field at every rung).
 	Profile video.Profile
 	// Size is the top rung; each following rung halves both dimensions.
 	// Every rung must stay 16-aligned (default 128x128).
@@ -51,8 +49,7 @@ type LadderConfig struct {
 	// TopSearcher is the full-effort estimator: the ladder's rung 0 and
 	// every rung of the independent baseline (default fsbm).
 	TopSearcher string
-	// LowSearcher runs the ladder's lower rungs, cross-layer seeded
-	// (default pbm — the predictor path the seeds feed).
+	// LowSearcher runs the ladder's lower rungs (default pbm).
 	LowSearcher string
 	// Repeats per timed mode; the fastest repeat is reported (default 3).
 	Repeats int
@@ -93,7 +90,7 @@ func (c LadderConfig) withDefaults() LadderConfig {
 type LadderRungReport struct {
 	Size string `json:"size"`
 	// Searcher is the estimator the ladder ran on this rung (TopSearcher
-	// on rung 0, LowSearcher+seed below).
+	// on rung 0, LowSearcher below).
 	Searcher string `json:"searcher"`
 
 	IndependentPointsPerMB float64 `json:"independent_points_per_block"`
@@ -103,12 +100,6 @@ type LadderRungReport struct {
 	LadderPointsPerMB float64 `json:"ladder_points_per_block"`
 	LadderPSNRY       float64 `json:"ladder_psnr_y_db"`
 	LadderKbps        float64 `json:"ladder_kbps"`
-
-	// Seeding isolation (lower rungs only): the ladder's own searcher on
-	// the same input without the cross-layer seed, and the points/block
-	// the seed saved against it.
-	UnseededPointsPerMB float64 `json:"unseeded_points_per_block,omitempty"`
-	SeedPointsSavedPct  float64 `json:"seed_points_saved_pct,omitempty"`
 }
 
 // LadderResult is the full report, serialisable to BENCH_ladder.json.
@@ -130,8 +121,8 @@ type LadderResult struct {
 	LadderWallNs      int64   `json:"ladder_wall_ns"`
 	Speedup           float64 `json:"speedup"`
 
-	// Rung0BitIdentical must be true: rung 0 takes no seed, so the ladder
-	// stream and the independent encode are the same bits by contract.
+	// Rung0BitIdentical must be true: rung 0 runs TopSearcher on the
+	// source in both modes, so the streams are the same bits by contract.
 	Rung0BitIdentical bool `json:"rung0_bit_identical"`
 
 	PerRung []LadderRungReport `json:"per_rung"`
@@ -169,8 +160,8 @@ func releaseFrames(fs []*frame.Frame) {
 }
 
 // RunLadder measures the ladder against per-rendition independent
-// encodes and writes the honest comparison: wall clock, per-rung quality
-// and the seeding isolation.
+// encodes and writes the honest comparison: wall clock and per-rung
+// quality.
 func RunLadder(cfg LadderConfig) (*LadderResult, error) {
 	cfg = cfg.withDefaults()
 	sizes := make([]frame.Size, cfg.Rungs)
@@ -232,7 +223,7 @@ func RunLadder(cfg LadderConfig) (*LadderResult, error) {
 	}
 
 	// Ladder: rung 0 on the full-effort searcher, lower rungs on the
-	// seeded cheap searcher.
+	// cheap searcher.
 	mkRungs := func() ([]codec.Rung, error) {
 		rungs := make([]codec.Rung, cfg.Rungs)
 		for r, sz := range sizes {
@@ -299,8 +290,6 @@ func RunLadder(cfg LadderConfig) (*LadderResult, error) {
 	res.LadderWallNs = bestLadder.Nanoseconds()
 	res.Speedup = float64(bestIndep.Nanoseconds()) / float64(bestLadder.Nanoseconds())
 
-	// Per-rung comparison plus the seeding isolation: the same lower-rung
-	// searcher on the same input, with and without the seed.
 	for r := range sizes {
 		rep := LadderRungReport{
 			Size:                   fmt.Sprintf("%dx%d", sizes[r].W, sizes[r].H),
@@ -313,23 +302,7 @@ func RunLadder(cfg LadderConfig) (*LadderResult, error) {
 			LadderKbps:             ladderStats[r].BitrateKbps(),
 		}
 		if r > 0 {
-			rep.Searcher = cfg.LowSearcher + "+seed"
-			s, err := ladderSearcher(cfg.LowSearcher)
-			if err != nil {
-				return nil, err
-			}
-			ecfg := baseCfg
-			ecfg.Searcher = s
-			in := downscaleChain(frames, r)
-			_, st, err := codec.EncodePackets(ecfg, in)
-			releaseFrames(in)
-			if err != nil {
-				return nil, fmt.Errorf("unseeded rung %d: %w", r, err)
-			}
-			rep.UnseededPointsPerMB = st.AvgSearchPointsPerMB()
-			if rep.UnseededPointsPerMB > 0 {
-				rep.SeedPointsSavedPct = 100 * (rep.UnseededPointsPerMB - rep.LadderPointsPerMB) / rep.UnseededPointsPerMB
-			}
+			rep.Searcher = cfg.LowSearcher
 		}
 		res.PerRung = append(res.PerRung, rep)
 	}
@@ -350,24 +323,16 @@ func FormatLadder(r *LadderResult) string {
 	out := fmt.Sprintf("simulcast ladder: %s %s, %d rungs, %d frames, Qp %d, range %d\n",
 		r.Profile, r.TopSize, r.Rungs, r.Frames, r.Qp, r.SearchRange)
 	out += fmt.Sprintf("host: %s (%d cpus), kernel ISA %s\n", r.Host.CPUModel, r.Host.NumCPU, r.Host.KernelISA)
-	out += fmt.Sprintf("independent (%s every rung): %.1f ms   ladder (%s top, seeded %s below): %.1f ms   speedup %.2fx\n",
+	out += fmt.Sprintf("independent (%s every rung): %.1f ms   ladder (%s top, %s below): %.1f ms   speedup %.2fx\n",
 		r.TopSearcher, float64(r.IndependentWallNs)/1e6,
 		r.TopSearcher, r.LowSearcher, float64(r.LadderWallNs)/1e6, r.Speedup)
 	out += fmt.Sprintf("rung 0 bit-identical to independent encode: %v\n", r.Rung0BitIdentical)
-	out += fmt.Sprintf("%-9s %-10s %12s %12s %9s %9s %9s %9s %10s %10s\n",
-		"size", "searcher", "ind pts/MB", "lad pts/MB", "ind PSNR", "lad PSNR", "ind kbps", "lad kbps", "uns pts/MB", "seed saved")
+	out += fmt.Sprintf("%-9s %-10s %12s %12s %9s %9s %9s %9s\n",
+		"size", "searcher", "ind pts/MB", "lad pts/MB", "ind PSNR", "lad PSNR", "ind kbps", "lad kbps")
 	for _, p := range r.PerRung {
-		saved := ""
-		if p.UnseededPointsPerMB > 0 {
-			saved = fmt.Sprintf("%9.1f%%", p.SeedPointsSavedPct)
-		}
-		uns := ""
-		if p.UnseededPointsPerMB > 0 {
-			uns = fmt.Sprintf("%10.1f", p.UnseededPointsPerMB)
-		}
-		out += fmt.Sprintf("%-9s %-10s %12.1f %12.1f %9.2f %9.2f %9.1f %9.1f %10s %10s\n",
+		out += fmt.Sprintf("%-9s %-10s %12.1f %12.1f %9.2f %9.2f %9.1f %9.1f\n",
 			p.Size, p.Searcher, p.IndependentPointsPerMB, p.LadderPointsPerMB,
-			p.IndependentPSNRY, p.LadderPSNRY, p.IndependentKbps, p.LadderKbps, uns, saved)
+			p.IndependentPSNRY, p.LadderPSNRY, p.IndependentKbps, p.LadderKbps)
 	}
 	return out
 }

@@ -92,7 +92,7 @@ type SpeedPoint struct {
 	KernelISA  string `json:"kernel_isa"`
 	Workers    int    `json:"workers"`
 	// Pipeline reports whether entropy coding of frame n overlapped
-	// analysis of frame n+1 (codec.Pipeline).
+	// analysis of frame n+1 (codec.Config.Pipeline).
 	Pipeline           bool    `json:"pipeline"`
 	NsPerFrame         float64 `json:"ns_per_frame"`
 	FPS                float64 `json:"fps"`
@@ -217,33 +217,27 @@ func RunSpeed(cfg SpeedConfig) (*SpeedResult, error) {
 }
 
 // encodeTimed runs one encode and returns the stats plus the per-phase
-// wall clock (analysis vs entropy) the encoder accumulated.
+// wall clock (analysis vs entropy) the encoder reported.
 func encodeTimed(cfg codec.Config, pipeline bool, frames []*frame.Frame) (*codec.SequenceStats, time.Duration, time.Duration, error) {
-	if pipeline {
-		p := codec.NewPipeline(cfg)
-		for i, f := range frames {
-			if err := p.EncodeFrame(f); err != nil {
-				p.Flush() // drain the writer goroutine before bailing
-				return nil, 0, 0, fmt.Errorf("frame %d: %w", i, err)
-			}
-		}
-		stats, _, err := p.Flush()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		a, en := p.PhaseTimes()
-		return stats, a, en, nil
+	var clock phaseClock
+	cfg.Pipeline, cfg.Observer = pipeline, &clock
+	stats, _, err := codec.EncodeSequence(cfg, frames)
+	if err != nil {
+		return nil, 0, 0, err
 	}
-	e := codec.NewEncoder(cfg)
-	for i, f := range frames {
-		if _, err := e.EncodeFrame(f); err != nil {
-			return nil, 0, 0, fmt.Errorf("frame %d: %w", i, err)
-		}
-	}
-	e.Bitstream()
-	a, en := e.PhaseTimes()
-	return e.Stats(), a, en, nil
+	return stats, clock.analysis, clock.entropy, nil
 }
+
+// phaseClock is a codec.FrameObserver summing each phase's wall clock.
+// In pipelined encodes the two callbacks run on different goroutines, so
+// each owns one field; both are read after EncodeSequence returns.
+type phaseClock struct{ analysis, entropy time.Duration }
+
+func (c *phaseClock) FrameAnalyzed(_ int, wall, _, _ time.Duration, _ bool, _ int) {
+	c.analysis += wall
+}
+
+func (c *phaseClock) FrameWritten(_ int, wall time.Duration, _ int) { c.entropy += wall }
 
 // WriteJSON writes the result to path (pretty-printed, trailing newline).
 func (r *SpeedResult) WriteJSON(path string) error {

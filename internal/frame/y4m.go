@@ -23,6 +23,29 @@ func (s *Y4MStream) FPS() float64 {
 	return float64(s.FPSNum) / float64(s.FPSDen)
 }
 
+// maxY4MLine bounds the stream header and every FRAME line, newline
+// included. Real headers are well under 100 bytes; the cap keeps an
+// untrusted upload that never sends a newline from being buffered whole.
+const maxY4MLine = 4 << 10
+
+// readY4MLine reads one newline-terminated line of at most maxY4MLine
+// bytes. Like bufio.Reader.ReadString it returns the partial line with
+// the read error at end of input; an over-long line fails after reading
+// at most maxY4MLine plus one bufio buffer.
+func readY4MLine(br *bufio.Reader) (string, error) {
+	var line []byte
+	for {
+		chunk, err := br.ReadSlice('\n')
+		if len(line)+len(chunk) > maxY4MLine {
+			return "", fmt.Errorf("frame: Y4M line longer than %d bytes", maxY4MLine)
+		}
+		line = append(line, chunk...)
+		if err != bufio.ErrBufferFull {
+			return string(line), err
+		}
+	}
+}
+
 // Y4MReader parses a YUV4MPEG2 stream incrementally: the header is read
 // by NewY4MReader and each ReadFrame returns the next picture as soon as
 // its samples are available. This is the streaming counterpart of ReadY4M
@@ -40,16 +63,18 @@ type Y4MReader struct {
 // C420jpeg, C420mpeg2, C420paldv or no C tag) is accepted.
 func NewY4MReader(r io.Reader) (*Y4MReader, error) {
 	br := bufio.NewReader(r)
-	header, err := br.ReadString('\n')
+	header, err := readY4MLine(br)
 	if err != nil {
 		return nil, fmt.Errorf("frame: reading Y4M header: %w", err)
 	}
-	fields := strings.Fields(strings.TrimSpace(header))
-	if len(fields) == 0 || fields[0] != "YUV4MPEG2" {
+	// Parameters are iterated, not split into a slice, so a header packed
+	// with tiny fields allocates nothing per field.
+	magic, params, _ := strings.Cut(strings.TrimSpace(header), " ")
+	if magic != "YUV4MPEG2" {
 		return nil, fmt.Errorf("frame: not a YUV4MPEG2 stream")
 	}
 	var w, h, fn, fd int
-	for _, f := range fields[1:] {
+	for f := range strings.FieldsSeq(params) {
 		if len(f) < 2 {
 			continue
 		}
@@ -94,7 +119,7 @@ func (y *Y4MReader) FPS() float64 {
 
 // ReadFrame returns the next frame, or io.EOF at a clean end of stream.
 func (y *Y4MReader) ReadFrame() (*Frame, error) {
-	line, err := y.br.ReadString('\n')
+	line, err := readY4MLine(y.br)
 	if err == io.EOF && line == "" {
 		return nil, io.EOF
 	}

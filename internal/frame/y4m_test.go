@@ -3,6 +3,7 @@ package frame
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -102,4 +103,100 @@ func TestY4MReaderStreamsIncrementally(t *testing.T) {
 	if _, err := y.ReadFrame(); err != io.EOF {
 		t.Fatalf("EOF expected, got %v", err)
 	}
+}
+
+// countingReader counts the bytes its consumer pulled from r.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestY4MLinesBounded: a header or FRAME line with no newline fails after
+// reading at most the line cap plus one bufio buffer, not the whole
+// upload; a line of exactly the cap is still accepted.
+func TestY4MLinesBounded(t *testing.T) {
+	const bufSize = 4096 // bufio.NewReader's default
+	flood := bytes.Repeat([]byte{'A'}, 1<<20)
+
+	c := &countingReader{r: bytes.NewReader(append([]byte("YUV4MPEG2 "), flood...))}
+	if _, err := NewY4MReader(c); err == nil {
+		t.Fatal("unterminated 1 MiB header accepted")
+	}
+	if c.n > maxY4MLine+bufSize {
+		t.Fatalf("header parse read %d bytes, want <= %d", c.n, maxY4MLine+bufSize)
+	}
+
+	const header = "YUV4MPEG2 W16 H16\n"
+	c = &countingReader{r: io.MultiReader(strings.NewReader(header), bytes.NewReader(flood))}
+	y, err := NewY4MReader(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := y.ReadFrame(); err == nil {
+		t.Fatal("unterminated 1 MiB FRAME line accepted")
+	}
+	if c.n > len(header)+maxY4MLine+bufSize {
+		t.Fatalf("FRAME parse read %d bytes, want <= %d", c.n, len(header)+maxY4MLine+bufSize)
+	}
+
+	long := "FRAME X" + strings.Repeat("x", maxY4MLine-len("FRAME X\n")) + "\n"
+	y, err = NewY4MReader(strings.NewReader(header + long + strings.Repeat("\x00", 384)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := y.ReadFrame(); err != nil {
+		t.Fatalf("FRAME line of exactly %d bytes rejected: %v", maxY4MLine, err)
+	}
+}
+
+// FuzzY4MReader feeds arbitrary bytes to the streaming reader: it must
+// never panic, and no call may allocate more than one frame of the
+// declared size plus a fixed overhead (the bufio buffer and one bounded
+// line with its fields).
+func FuzzY4MReader(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteY4M(&buf, []*Frame{NewFrame(Size{16, 16}), NewFrame(Size{16, 16})}, 30, 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte("YUV4MPEG2 W16 H16 F25:1 Ip A1:1 C420jpeg\nFRAME\n"))
+	f.Add([]byte("YUV4MPEG2 W16 H16 C444\n"))
+	f.Add([]byte("YUV4MPEG2 W16 H16\nFRAME Ixyz\n" + strings.Repeat("\x80", 384) + "FRA"))
+	f.Add([]byte("YUV4MPEG2 W16384 H16384\nFRAME\n"))
+	f.Add([]byte("YUV4MPEG2 " + strings.Repeat("W ", maxY4MLine)))
+
+	const overhead = 64 << 10
+	allocated := func(fn func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		fn()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var y *Y4MReader
+		var err error
+		if n := allocated(func() { y, err = NewY4MReader(bytes.NewReader(data)) }); n > overhead {
+			t.Fatalf("header parse allocated %d bytes", n)
+		}
+		if err != nil {
+			return
+		}
+		sz := y.Size()
+		frameBytes := uint64(sz.W * sz.H * 3 / 2)
+		if frameBytes > 1<<21 {
+			return // legal but large: keep each fuzz worker's memory small
+		}
+		for i := 0; i < 3 && err == nil; i++ {
+			if n := allocated(func() { _, err = y.ReadFrame() }); n > frameBytes+overhead {
+				t.Fatalf("frame %d: allocated %d bytes for a %v frame", i, n, sz)
+			}
+		}
+	})
 }

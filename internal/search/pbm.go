@@ -62,32 +62,12 @@ func (p *PBM) Search(in *Input) Result {
 	}
 
 	// Step 1: predictor candidates. Predictors are full-pel rounded: the
-	// integer search stage operates on the full-pel grid only. With a
-	// cross-layer seed the temporal predictors are replaced by the seed
-	// candidates: the upper rung's field encodes the same history at
-	// higher accuracy, and ≤ 4 seeds stand in for ≤ 9 temporal probes
-	// (zero + 4 spatial + 4 seeds still fits cbuf).
+	// integer search stage operates on the full-pel grid only.
 	var cbuf [14]mvfield.MV
 	cands := cbuf[:0]
-	switch {
-	case in.CurField != nil && in.Seed != nil:
-		cands = in.CurField.AppendCandidates(cands, nil, in.MBX, in.MBY)
-		sv, n := in.Seed.Seeds(in.MBX, in.MBY)
-		for _, m := range sv[:n] {
-			dup := false
-			for _, v := range cands {
-				if v == m {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				cands = append(cands, m)
-			}
-		}
-	case in.CurField != nil:
+	if in.CurField != nil {
 		cands = in.CurField.AppendCandidates(cands, in.PrevField, in.MBX, in.MBY)
-	default:
+	} else {
 		cands = append(cands, mvfield.Zero)
 	}
 	best, bestSAD := mvfield.Zero, -1

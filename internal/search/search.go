@@ -38,12 +38,6 @@ type Input struct {
 	CurField, PrevField *mvfield.Field
 	MBX, MBY            int
 
-	// Seed, when non-nil, contributes cross-layer candidates to the
-	// predictor set (simulcast ladder: the rung above's scaled motion
-	// field). PBM then drops its temporal predictors — the seed layer
-	// carries that history — which is the ladder's points/block saving.
-	Seed LayerSeed
-
 	// Collect, when non-nil, accumulates the SAD of every evaluated
 	// candidate for the SAD_deviation statistic of the Fig. 4 study.
 	Collect *metrics.Deviation

@@ -10,8 +10,8 @@ import (
 // Simulcast serving: /encode?ladder=WxH@kbps,... ingests the source once
 // and streams every rung of the ladder back interleaved, each record
 // tagged with its rung index (LadderContentType framing). The heavy
-// lifting — downscale chain, cross-layer motion seeding, per-rung rate
-// control — lives in codec.LadderStream. The session itself is the same
+// lifting — downscale chain, one plain encode stream per rung, per-rung
+// rate control — lives in codec.LadderStream. The session itself is the same
 // encodeSession a plain upload runs (server.go): one ingest loop, one
 // emit path, one observer per rung; only the stream driver, the framing
 // and the trailer set differ.

@@ -10,11 +10,12 @@ import (
 
 // FuzzParseSessionConfig feeds parseSessionConfig the untrusted /encode
 // query strings it faces in production. It must never panic, and
-// whatever it accepts must be encodable: a quantiser in 1..31, a
-// buildable searcher, a finite non-negative bitrate target, a valid rung
-// chain for ladder sessions, and never a session-wide kbps target on a
-// ladder (targets are per rung there). Plain `go test` runs the seeds;
-// `go test -fuzz FuzzParseSessionConfig` explores further.
+// whatever it accepts must be encodable: a quantiser in 1..31, a search
+// range in 0..codec.MaxSearchRange, a buildable searcher, a finite
+// non-negative bitrate target, a valid rung chain for ladder sessions,
+// and never a session-wide kbps target on a ladder (targets are per rung
+// there). Plain `go test` runs the seeds; `go test -fuzz
+// FuzzParseSessionConfig` explores further.
 func FuzzParseSessionConfig(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -46,6 +47,8 @@ func FuzzParseSessionConfig(f *testing.F) {
 		"ladder=64x64@NaN",
 		"ladder=,",
 		"%zz&qp=%31%36",
+		"range=1000000000",
+		"range=-1",
 	} {
 		f.Add(seed)
 	}
@@ -57,6 +60,9 @@ func FuzzParseSessionConfig(f *testing.F) {
 		}
 		if cfg.Qp < 1 || cfg.Qp > 31 {
 			t.Fatalf("%q: accepted qp %d", raw, cfg.Qp)
+		}
+		if cfg.SearchRange < 0 || cfg.SearchRange > codec.MaxSearchRange {
+			t.Fatalf("%q: accepted search range %d", raw, cfg.SearchRange)
 		}
 		if s, err := opts.newSearcher(); err != nil || s == nil {
 			t.Fatalf("%q: accepted, but newSearcher() = %v, %v", raw, s, err)

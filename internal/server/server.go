@@ -613,6 +613,10 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 	if cfg.Qp < 1 || cfg.Qp > 31 {
 		return cfg, opts, fmt.Errorf("qp %d out of range 1..31", cfg.Qp)
 	}
+	if cfg.SearchRange < 0 || cfg.SearchRange > codec.MaxSearchRange {
+		return cfg, opts, fmt.Errorf("range %d out of range 0..%d (0 = default %d)",
+			cfg.SearchRange, codec.MaxSearchRange, codec.DefaultSearchRange)
+	}
 	meName, budget := q.Get("me"), 0.0
 	if v := q.Get("budget"); v != "" {
 		target, e := strconv.ParseFloat(v, 64)
