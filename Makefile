@@ -4,11 +4,13 @@
 #                       vet + compile everything
 #   make test         — full test suite, plus the codec/server packages
 #                       under the race detector at GOMAXPROCS 1, 2 and 4
-#                       (certifies the wavefront encoder and the
-#                       multi-session serving layer on multi-core hosts)
+#                       (certifies the wavefront encoder, the lazily
+#                       filled reference-view tiles its workers claim,
+#                       and the multi-session serving layer on
+#                       multi-core hosts)
 #   make fuzz-smoke   — a short fixed-time run of the fuzz targets on
-#                       untrusted input (the /encode query parser and
-#                       the Y4M upload reader)
+#                       untrusted input (the /encode query parser, the
+#                       Y4M upload reader and both packet-stream readers)
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
@@ -69,11 +71,13 @@ build:
 
 test: build
 	$(GO) test ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/metrics/ ./internal/codec/ ./internal/core/ ./internal/search/ ./internal/server/ ./internal/gateway/ ./internal/obs/
+	$(GO) test -race -cpu 1,2,4 ./internal/metrics/ ./internal/codec/ ./internal/core/ ./internal/search/ ./internal/server/ ./internal/gateway/ ./internal/obs/ ./internal/frame/
 
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSessionConfig -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzY4MReader -fuzztime 10s ./internal/frame/
+	$(GO) test -run '^$$' -fuzz '^FuzzPacketReader$$' -fuzztime 10s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz '^FuzzLadderPacketReader$$' -fuzztime 10s ./internal/codec/
 
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch

@@ -72,11 +72,32 @@
 //     previous frame's PSNR statistics) are provably done; the steady
 //     state is ~10 heap allocations per encoded frame, and `make
 //     bench-smoke` fails if the pinned ceiling regresses.
-//   - search.FSBM scans candidates centre-outward ("spiral", sorted by L1
-//     then raster order), so the SADCapped early-termination cap is
-//     near-minimal after the first ring; the visit order is chosen so the
-//     winner is identical to the raster scan's under the shorter-vector
-//     tie-break.
+//   - search.FSBM is one batched, bound-pruned scan per block. The ±p
+//     window is clipped once to the legal rectangle (u ∈ [−BX,
+//     Ref.W−W−BX], likewise v), and one kernel call (metrics.ScanSpiral)
+//     visits its candidates centre-outward ("spiral": ascending L1, ties
+//     in raster order). Because L1 never decreases along the spiral,
+//     better()'s tie-break toward the shorter vector reduces to a strict
+//     SAD < minimum, so the winner is identical to a raster scan's.
+//     Before the scan, one more kernel call (metrics.BoundGrid) computes
+//     the multilevel successive-elimination bound of every candidate,
+//     LB(u, v) = Σ_y |C_y − S(x+u, y+v+y)| ≤ SAD (Li & Salari; Gao,
+//     Duanmu & Zou): C_y sums current-block row y, S is a 16-wide
+//     reference row sum, and each term is |Σa−Σb| ≤ Σ|a−b|. Bounds are
+//     uint16 with saturating adds, which can only lower them. A candidate
+//     whose bound is ≥ the running minimum cannot be strictly better and
+//     is skipped; the rest run the capped SAD with the minimum as cap.
+//     Result.Points stays the Table 1 count of candidates considered
+//     (every legal one), so Table 1 and every golden are unchanged;
+//     Result.Evaluated (summed into core.Stats.Evaluated, reported by
+//     `acbmbench -experiment speed`) counts the candidates whose SAD
+//     kernel ran — on Foreman CIF Qp 16 about 38% of them. The row sums are
+//     a lazily filled phase of the reference view frame.Interpolated
+//     (RowSums): tiles fill on first touch under the half-pel phases'
+//     claim protocol and the phase is pooled with the view, so intra
+//     frames, the decoder and rungs that never full-search never pay for
+//     it. The Fig. 4 study (Input.Collect) and PixelDecimation run the
+//     same window and order unpruned, scoring every candidate exactly.
 //   - internal/bitstream runs word-at-a-time: the Writer gathers bits in
 //     a 64-bit accumulator and the entropy layer packs whole syntax
 //     elements — Exp-Golomb codes, (run, level, last) TCOEF events, MVD
@@ -125,9 +146,10 @@
 //
 // `make bench-speed` (or `acbmbench -experiment speed -json
 // BENCH_speed.json`) records the encoder's speed trajectory —
-// ns/frame, fps, the analysis/entropy phase split, points/block,
-// allocs/frame and the half-pel bytes actually materialised per frame —
-// across the full GOMAXPROCS × workers × pipeline matrix, per searcher.
+// ns/frame, fps, the analysis/entropy phase split, points/block
+// (considered) next to evaluated/block, allocs/frame and the half-pel
+// bytes actually materialised per frame — across the full GOMAXPROCS ×
+// workers × pipeline matrix, per searcher.
 // Each point carries the GOMAXPROCS and kernel ISA it ran under, and the
 // artifact embeds the host (CPU model, core count, registered kernel
 // tiers), so a number is never divorced from the machine that produced

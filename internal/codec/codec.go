@@ -188,12 +188,15 @@ type FrameStats struct {
 	PSNRY        float64 // luma PSNR of the reconstruction vs the source
 	PSNRCb       float64
 	PSNRCr       float64
-	SearchPoints int // candidate positions evaluated by motion search
-	Macroblocks  int
-	IntraMBs     int
-	InterMBs     int
-	Inter4VMBs   int // inter MBs that used four-vector prediction
-	SkipMBs      int
+	SearchPoints int // candidate positions considered by motion search
+	// SearchEvaluated is the part of SearchPoints whose SAD kernel ran:
+	// full search skips candidates its lower bound rules out.
+	SearchEvaluated int
+	Macroblocks     int
+	IntraMBs        int
+	InterMBs        int
+	Inter4VMBs      int // inter MBs that used four-vector prediction
+	SkipMBs         int
 }
 
 // SequenceStats aggregates an encoded sequence.
@@ -239,18 +242,31 @@ func (s *SequenceStats) BitrateKbps() float64 {
 // AvgSearchPointsPerMB returns the mean candidate positions per macroblock
 // over P-frames — the paper's Table 1 metric.
 func (s *SequenceStats) AvgSearchPointsPerMB() float64 {
-	pts, mbs := 0, 0
-	for _, f := range s.Frames {
+	return s.perPMB(func(f *FrameStats) int { return f.SearchPoints })
+}
+
+// AvgSearchEvaluatedPerMB returns the mean number of candidates whose SAD
+// kernel ran per macroblock over P-frames, the pruned part of
+// AvgSearchPointsPerMB.
+func (s *SequenceStats) AvgSearchEvaluatedPerMB() float64 {
+	return s.perPMB(func(f *FrameStats) int { return f.SearchEvaluated })
+}
+
+// perPMB averages a per-frame count over the macroblocks of P-frames.
+func (s *SequenceStats) perPMB(count func(*FrameStats) int) float64 {
+	n, mbs := 0, 0
+	for i := range s.Frames {
+		f := &s.Frames[i]
 		if f.Type != PFrame {
 			continue
 		}
-		pts += f.SearchPoints
+		n += count(f)
 		mbs += f.Macroblocks
 	}
 	if mbs == 0 {
 		return 0
 	}
-	return float64(pts) / float64(mbs)
+	return float64(n) / float64(mbs)
 }
 
 // validateSize checks the frame format is codable (16-divisible luma).

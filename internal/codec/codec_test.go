@@ -159,8 +159,13 @@ func TestSearcherPluggability(t *testing.T) {
 		if _, err := Decode(bs); err != nil {
 			t.Fatalf("%s: decode: %v", s.Name(), err)
 		}
-		if stats.AvgSearchPointsPerMB() <= 0 {
+		pts, eval := stats.AvgSearchPointsPerMB(), stats.AvgSearchEvaluatedPerMB()
+		if pts <= 0 {
 			t.Fatalf("%s: no search points recorded", s.Name())
+		}
+		// Only full search prunes: it scores a strict, non-empty subset.
+		if _, full := s.(*search.FSBM); full && (eval <= 0 || eval >= pts) || !full && eval != pts {
+			t.Fatalf("%s: %.1f evaluated of %.1f points/MB", s.Name(), eval, pts)
 		}
 	}
 }
@@ -247,7 +252,7 @@ func TestFrameTypeString(t *testing.T) {
 
 func TestSequenceStatsZeroValues(t *testing.T) {
 	var s SequenceStats
-	if s.AvgPSNRY() != 0 || s.BitrateKbps() != 0 || s.AvgSearchPointsPerMB() != 0 || s.TotalBits() != 0 {
+	if s.AvgPSNRY() != 0 || s.BitrateKbps() != 0 || s.AvgSearchPointsPerMB() != 0 || s.AvgSearchEvaluatedPerMB() != 0 || s.TotalBits() != 0 {
 		t.Fatal("empty stats must be zero")
 	}
 }

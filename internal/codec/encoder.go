@@ -43,7 +43,8 @@ type mbResult struct {
 	four   bool       // inter: four-vector (Annex F) macroblock
 	mv     mvfield.MV // inter 1V: the macroblock vector
 	subMV  [4]mvfield.MV
-	points int     // candidate positions evaluated (Table 1 metric)
+	points int     // candidate positions considered (Table 1 metric)
+	scored int     // the part of points whose SAD kernel ran
 	coded  [6]bool // inter: per-block coded flags (Y0..Y3, Cb, Cr)
 	// levels holds the quantised coefficients in coding order: the four
 	// luma blocks, then Cb, then Cr — intra and inter modes both use it.
@@ -428,6 +429,7 @@ func (e *Encoder) writeFrameBody(j *frameJob) FrameStats {
 				r := &j.results[mby*cols+mbx]
 				e.writeInterMB(r, j.curField, mbx, mby)
 				fs.SearchPoints += r.points
+				fs.SearchEvaluated += r.scored
 				switch r.mode {
 				case mbSkip:
 					fs.SkipMBs++
@@ -537,7 +539,7 @@ func (e *Encoder) refreshReference(recon *frame.Frame) {
 func (e *Encoder) analyzeIntraMB(src, recon *frame.Frame, mbx, mby int, r *mbResult) {
 	r.mode = mbIntra
 	r.four = false
-	r.points = 0
+	r.points, r.scored = 0, 0
 	x, y := 16*mbx, 16*mby
 	var cur, rec dct.Block
 	code := func(p, rp *frame.Plane, bx, by int, levels *dct.Block) bool {
@@ -597,13 +599,13 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon
 	intraSAD := metrics.IntraSAD(src.Y, x, y, 16, 16)
 	if intraSAD < res.SAD-e.cfg.IntraBias {
 		e.analyzeIntraMB(src, recon, mbx, mby, r)
-		r.points = res.Points
+		r.points, r.scored = res.Points, res.Evaluated
 		curField.Set(mbx, mby, mvfield.Zero)
 		return
 	}
 
 	mv := res.MV
-	pts := res.Points
+	pts, scored := res.Points, res.Evaluated
 
 	// Advanced prediction: refine one vector per 8×8 luma block around
 	// the macroblock vector and take the four-vector mode when the summed
@@ -621,12 +623,12 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon
 				PixelDecimation: e.cfg.PixelDecimation,
 			}
 			smv, ssad, spts := refineSubBlock(in, mv)
-			subMV[i], pts = smv, pts+spts
+			subMV[i], pts, scored = smv, pts+spts, scored+spts
 			sum8 += ssad
 		}
 		if sum8 < res.SAD-e.cfg.Inter4VBias {
 			e.analyzeInter4VMB(src, recon, mbx, mby, subMV, r)
-			r.points = pts
+			r.points, r.scored = pts, scored
 			curField.Set(mbx, mby, avgMV(subMV))
 			return
 		}
@@ -657,7 +659,7 @@ func (e *Encoder) analyzeInterMB(s search.Searcher, in *search.Input, src, recon
 		anyCoded = anyCoded || c
 	}
 
-	r.points = pts
+	r.points, r.scored = pts, scored
 	r.four = false
 	r.mv = mv
 	if mv == mvfield.Zero && !anyCoded {

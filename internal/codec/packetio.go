@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -22,6 +23,36 @@ import (
 // maxFramedPacket caps a record's payload so a corrupt length field
 // cannot force a multi-gigabyte allocation.
 const maxFramedPacket = 1 << 28
+
+// payloadChunk is the most a reader allocates for a payload ahead of its
+// bytes arriving (readPayload).
+const payloadChunk = 64 << 10
+
+// readPayload reads a size-byte record payload, allocating only as its
+// bytes arrive: the declared length is untrusted, so a 12-byte record
+// claiming 256 MiB must not cost 256 MiB. A payload of up to payloadChunk
+// bytes is read straight into its buffer; a longer one is staged chunk
+// by chunk and joined once complete. A record cut short after c payload
+// bytes therefore costs at most c + payloadChunk bytes, and a complete
+// one about 2× its size — growing one buffer instead costs up to 4× on a
+// cut record, and io.ReadAll's append growth about 5× on either.
+func readPayload(br *bufio.Reader, size int) ([]byte, error) {
+	if size <= payloadChunk {
+		data := make([]byte, size)
+		_, err := io.ReadFull(br, data)
+		return data, err
+	}
+	var chunks [][]byte
+	for rem := size; rem > 0; {
+		c := make([]byte, min(rem, payloadChunk))
+		if _, err := io.ReadFull(br, c); err != nil {
+			return nil, err
+		}
+		chunks = append(chunks, c)
+		rem -= len(c)
+	}
+	return bytes.Join(chunks, nil), nil
+}
 
 // PacketWriter frames packets onto an io.Writer.
 type PacketWriter struct {
@@ -79,8 +110,8 @@ func (pr *PacketReader) ReadPacket() (index int, data []byte, err error) {
 	if idx > 1<<32 || size > maxFramedPacket {
 		return 0, nil, fmt.Errorf("codec: implausible packet record (index %d, %d bytes)", idx, size)
 	}
-	data = make([]byte, size)
-	if _, err := io.ReadFull(pr.br, data); err != nil {
+	data, err = readPayload(pr.br, int(size))
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
@@ -168,8 +199,8 @@ func (pr *LadderPacketReader) ReadPacket() (rung, index int, data []byte, err er
 	if rg > maxLadderRung || idx > 1<<32 || size > maxFramedPacket {
 		return 0, 0, nil, fmt.Errorf("codec: implausible ladder record (rung %d, index %d, %d bytes)", rg, idx, size)
 	}
-	data = make([]byte, size)
-	if _, err := io.ReadFull(pr.br, data); err != nil {
+	data, err = readPayload(pr.br, int(size))
+	if err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}

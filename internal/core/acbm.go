@@ -98,6 +98,9 @@ type Stats struct {
 	GoodMatch   int
 	CriticalCnt int
 	Points      int64 // total candidate positions searched
+	// Evaluated is the part of Points whose SAD kernel actually ran:
+	// full search skips candidates its lower bound rules out.
+	Evaluated int64
 }
 
 // AvgPoints returns the average number of candidate positions searched per
@@ -124,6 +127,7 @@ func (s *Stats) Add(o Stats) {
 	s.GoodMatch += o.GoodMatch
 	s.CriticalCnt += o.CriticalCnt
 	s.Points += o.Points
+	s.Evaluated += o.Evaluated
 }
 
 // ACBM is the adaptive cost block matching searcher. It implements
@@ -210,19 +214,22 @@ func (a *ACBM) SearchTrace(in *search.Input) (search.Result, Trace) {
 	}
 	if tr.Decision != Critical {
 		a.stats.Points += int64(pbmRes.Points)
+		a.stats.Evaluated += int64(pbmRes.Evaluated)
 		return pbmRes, tr
 	}
 
 	fsbmRes := a.FSBM.Search(in)
 	tr.FSBMPoints = fsbmRes.Points
 	total := pbmRes.Points + fsbmRes.Points
+	evaluated := pbmRes.Evaluated + fsbmRes.Evaluated
 	a.stats.Points += int64(total)
+	a.stats.Evaluated += int64(evaluated)
 	// Keep the better of the two vectors; PBM's half-pel position can in
 	// rare cases beat FSBM's refinement of a different integer minimum.
 	best := fsbmRes
 	if pbmRes.SAD < fsbmRes.SAD {
 		best = pbmRes
 	}
-	best.Points = total
+	best.Points, best.Evaluated = total, evaluated
 	return best, tr
 }

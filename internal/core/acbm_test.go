@@ -248,3 +248,31 @@ func TestForceFullSearchParams(t *testing.T) {
 		t.Fatal("FSBM rate must be zero")
 	}
 }
+
+// TestStatsEvaluatedJoin pins the pruning counter: a critical block's
+// full search scores fewer candidates than it considers, the result and
+// the statistics carry the same count, and Fork/Join sums it like Points.
+func TestStatsEvaluatedJoin(t *testing.T) {
+	ref := texturedPlane(96, 96, 11, 4, 160)
+	cur := texturedPlane(96, 96, 12, 4, 160)
+	parent := New(DefaultParams)
+	var want Stats
+	for _, bx := range []int{24, 40} {
+		fork := parent.Fork().(*ACBM)
+		res, tr := fork.SearchTrace(newInput(cur, ref, bx, 40, 4))
+		if tr.Decision != Critical {
+			t.Fatalf("bx=%d: decision %v, want critical", bx, tr.Decision)
+		}
+		if res.Evaluated < 1 || res.Evaluated >= res.Points {
+			t.Fatalf("bx=%d: evaluated %d of %d points, want pruning", bx, res.Evaluated, res.Points)
+		}
+		if st := fork.Stats(); st.Evaluated != int64(res.Evaluated) || st.Points != int64(res.Points) {
+			t.Fatalf("bx=%d: stats %+v disagree with result %+v", bx, st, res)
+		}
+		want.Add(fork.Stats())
+		parent.Join(fork)
+	}
+	if got := parent.Stats(); got != want {
+		t.Fatalf("joined stats %+v, want %+v", got, want)
+	}
+}

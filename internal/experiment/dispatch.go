@@ -12,12 +12,12 @@ import (
 
 // DispatchReport renders the SAD kernel dispatch state (detected CPU
 // features, registered tiers, the active tier) and runs a one-shot
-// sanity probe: every registered tier computes SAD, SADCapped, IntraSAD
-// and the half-pel phases on a fixed block and must agree with the
-// scalar reference bit-for-bit. It is the cheap CI-time version of the
-// full differential suite in internal/metrics — catching a machine
-// whose dispatch picked a broken tier (or silently fell back to scalar)
-// before any benchmark numbers get trusted. The returned error is
+// sanity probe: every registered tier computes SAD, SADCapped, IntraSAD,
+// the half-pel phases and a bound-pruned full search on a fixed block
+// and must agree with the scalar reference bit-for-bit. It is the cheap
+// CI-time version of the full differential suite in internal/metrics —
+// catching a machine whose dispatch picked a broken tier (or silently
+// fell back to scalar) before any benchmark numbers get trusted. The returned error is
 // non-nil when the dispatch state is inconsistent or a probe mismatches.
 func DispatchReport() (string, error) {
 	var b strings.Builder
@@ -79,6 +79,21 @@ func probeKernelTiers(b *strings.Builder) []string {
 	}
 	cur, ref := mk(), mk()
 
+	// Full search of the 16×16 block at (16, 8) over ±8, pruned by the
+	// bound grid read from ref's row-sum phase.
+	win := metrics.Window{U0: -8, V0: -8, U1: 8, V1: 8}
+	gs := metrics.GridStride(win)
+	refI := frame.InterpolateLazy(ref)
+	defer refI.Release()
+	sums, stride := refI.RowSums(16+win.U0, 8+win.V0, 16+win.U0+gs-1, 8+win.V1+15)
+	grid := make([]uint16, win.Rows()*gs)
+	var order []metrics.Offset
+	for v := win.V0; v <= win.V1; v++ {
+		for u := win.U0; u <= win.U1; u++ {
+			order = append(order, metrics.Offset{U: int16(u), V: int16(v)})
+		}
+	}
+
 	type probe struct {
 		name string
 		fn   func() int
@@ -99,6 +114,21 @@ func probeKernelTiers(b *strings.Builder) []string {
 				sum += v
 			}
 			return sum
+		}},
+		{"boundGrid", func() int {
+			metrics.BoundGrid(cur, 16, 8, 16, sums, stride, 16, 8, win, grid)
+			sum := 0
+			for v := 0; v < win.Rows(); v++ {
+				for _, g := range grid[v*gs : v*gs+win.Cols()] {
+					sum += int(g)
+				}
+			}
+			return sum
+		}},
+		{"scan", func() int {
+			metrics.BoundGrid(cur, 16, 8, 16, sums, stride, 16, 8, win, grid)
+			best, sad, evaluated := metrics.ScanSpiral(cur, 16, 8, ref, 16, 8, 16, 16, win, order, grid)
+			return ((sad*1000+evaluated)*32+int(best.U)+8)*32 + int(best.V) + 8
 		}},
 	}
 

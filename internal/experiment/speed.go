@@ -98,8 +98,13 @@ type SpeedPoint struct {
 	FPS                float64 `json:"fps"`
 	AnalysisNsPerFrame float64 `json:"analysis_ns_per_frame"`
 	EntropyNsPerFrame  float64 `json:"entropy_ns_per_frame"`
-	PointsPerMB        float64 `json:"points_per_block"`
-	PSNRY              float64 `json:"psnr_y_db"`
+	// PointsPerMB is the paper's Table 1 count: candidate positions
+	// considered per macroblock. EvaluatedPerMB is the part of it whose
+	// SAD kernel ran — full search skips candidates its successive-
+	// elimination bound rules out, so the two differ for FSBM and ACBM.
+	PointsPerMB    float64 `json:"points_per_block"`
+	EvaluatedPerMB float64 `json:"evaluated_per_block"`
+	PSNRY          float64 `json:"psnr_y_db"`
 	// AllocsPerFrame / AllocBytesPerFrame track the encoder's steady-state
 	// heap churn (runtime.MemStats deltas across the measured encode):
 	// working-set relief for multi-session serving shows up here first.
@@ -199,6 +204,7 @@ func RunSpeed(cfg SpeedConfig) (*SpeedResult, error) {
 						AnalysisNsPerFrame:  float64(analysis.Nanoseconds()) / float64(cfg.Frames),
 						EntropyNsPerFrame:   float64(entropy.Nanoseconds()) / float64(cfg.Frames),
 						PointsPerMB:         stats.AvgSearchPointsPerMB(),
+						EvaluatedPerMB:      stats.AvgSearchEvaluatedPerMB(),
 						PSNRY:               stats.AvgPSNRY(),
 						AllocsPerFrame:      float64(allocs) / float64(cfg.Frames),
 						AllocBytesPerFrame:  float64(allocBytes) / float64(cfg.Frames),
@@ -255,17 +261,17 @@ func FormatSpeed(r *SpeedResult) string {
 		r.Profile, r.Size, r.Frames, r.Qp)
 	out += fmt.Sprintf("host: %s (%d cpus), kernel ISA %s (of %v)\n",
 		r.Host.CPUModel, r.Host.NumCPU, r.Host.KernelISA, r.Host.KernelISAs)
-	out += fmt.Sprintf("%-6s %4s %8s %5s %12s %8s %12s %12s %10s %9s %9s %10s %10s %8s\n",
-		"algo", "gmp", "workers", "pipe", "ns/frame", "fps", "analysis/fr", "entropy/fr", "points/MB", "PSNR-Y",
+	out += fmt.Sprintf("%-6s %4s %8s %5s %12s %8s %12s %12s %10s %12s %9s %9s %10s %10s %8s\n",
+		"algo", "gmp", "workers", "pipe", "ns/frame", "fps", "analysis/fr", "entropy/fr", "points/MB", "evaluated/MB", "PSNR-Y",
 		"allocs/fr", "kB-alloc/fr", "kB-interp/fr", "speedup")
 	for _, p := range r.Points {
 		pipe := "off"
 		if p.Pipeline {
 			pipe = "on"
 		}
-		out += fmt.Sprintf("%-6s %4d %8d %5s %12.0f %8.2f %12.0f %12.0f %10.1f %9.2f %9.1f %10.1f %10.1f %7.2fx\n",
+		out += fmt.Sprintf("%-6s %4d %8d %5s %12.0f %8.2f %12.0f %12.0f %10.1f %12.1f %9.2f %9.1f %10.1f %10.1f %7.2fx\n",
 			p.Searcher, p.GoMaxProcs, p.Workers, pipe, p.NsPerFrame, p.FPS,
-			p.AnalysisNsPerFrame, p.EntropyNsPerFrame, p.PointsPerMB, p.PSNRY,
+			p.AnalysisNsPerFrame, p.EntropyNsPerFrame, p.PointsPerMB, p.EvaluatedPerMB, p.PSNRY,
 			p.AllocsPerFrame, p.AllocBytesPerFrame/1024, p.InterpBytesPerFrame/1024, p.Speedup)
 	}
 	return out

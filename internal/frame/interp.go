@@ -34,11 +34,16 @@ import (
 // race-clean: one claims and fills, the rest spin until the fill is
 // published. Views from Interpolate are fully materialised up front and
 // skip the claim checks.
+//
+// A view also carries one integer-domain phase for the full search: the
+// 16-wide horizontal row sums of the source (rowsum.go), filled lazily
+// under the same tile claim protocol.
 type Interpolated struct {
 	W, H int // dimensions of the half-pel grid (2× source)
 
 	src     *Plane
 	b, c, d hpPhase // phases (1,0), (0,1), (1,1)
+	rows    atomic.Pointer[rowSumPhase]
 
 	tcols, trows int // tile grid (shared by all three phases)
 	pooled       bool
@@ -129,6 +134,9 @@ func InterpolateLazy(p *Plane) *Interpolated {
 		clear(ip.b.state)
 		clear(ip.c.state)
 		clear(ip.d.state)
+		if rs := ip.rows.Load(); rs != nil {
+			clear(rs.state)
+		}
 		return ip
 	}
 	return newInterpolated(p, true)
@@ -169,6 +177,7 @@ func (ip *Interpolated) Release() {
 		ReleasePlane(ip.c.plane)
 		ReleasePlane(ip.d.plane)
 		ip.b, ip.c, ip.d = hpPhase{}, hpPhase{}, hpPhase{}
+		ip.rows.Store(nil)
 		return
 	}
 	interpPool(interpKey{ip.W / 2, ip.H / 2}).Put(ip)
@@ -223,21 +232,27 @@ func (ip *Interpolated) ensure(ph *hpPhase, x0, y0, x1, y1 int) {
 	}
 	for ty := y0 / TileSize; ty <= y1/TileSize; ty++ {
 		for tx := x0 / TileSize; tx <= x1/TileSize; tx++ {
-			i := ty*ip.tcols + tx
-			st := &ph.state[i]
-			if atomic.LoadUint32(st) == tileReady {
-				continue
-			}
-			if atomic.CompareAndSwapUint32(st, tileEmpty, tileFilling) {
+			if st := &ph.state[ty*ip.tcols+tx]; atomic.LoadUint32(st) != tileReady && claimTile(st) {
 				ip.fillTile(ph, tx, ty)
 				atomic.StoreUint32(st, tileReady)
-				continue
-			}
-			for atomic.LoadUint32(st) != tileReady {
-				runtime.Gosched()
 			}
 		}
 	}
+}
+
+// claimTile is the slow path of a tile access whose claim word st did not
+// read tileReady (callers test that inline first). It reports whether
+// the caller won the fill; the winner fills the tile and then stores
+// tileReady. A false return means a concurrent winner has published its
+// fill.
+func claimTile(st *uint32) bool {
+	if atomic.CompareAndSwapUint32(st, tileEmpty, tileFilling) {
+		return true
+	}
+	for atomic.LoadUint32(st) != tileReady {
+		runtime.Gosched()
+	}
+	return false
 }
 
 // fillTile computes phase samples for tile (tx, ty): its TileSize×TileSize

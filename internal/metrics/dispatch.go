@@ -45,6 +45,15 @@ import (
 //     an indirect call would escape the caller's stack array to the
 //     heap on every refinement; the exported SADHalfPelRing restores
 //     the caller's centre slot to honour its contract
+//   - boundGrid: the successive-elimination bound grid of BoundGrid for
+//     a 16-wide block, 1 ≤ h ≤ 16; rs starts at the window origin's row
+//     sum, and lanes past gw (up to gs) may be read and written
+//   - scan: ScanSpiral's candidate loop, w%8 == 0, w·h ≤ 256, window in
+//     plane; returns the winner's index in order (−1 if none), its exact
+//     SAD and the evaluated count. A losing candidate may stop at any
+//     row once its running sum reaches the minimum — only the winner,
+//     the minimum and the count are observable, and those are fixed by
+//     the bound test (bound ≥ minimum) and the strict < rule
 type kernelTable struct {
 	name string
 
@@ -62,6 +71,9 @@ type kernelTable struct {
 	hpDCapped func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int
 
 	ring func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h int) [9]int
+
+	boundGrid func(cur *frame.Plane, cx, cy, h int, rs []uint16, stride, gw, gh int, grid []uint16, gs int)
+	scan      func(cur *frame.Plane, cx, cy int, ref *frame.Plane, bx, by, w, h int, win Window, order []Offset, grid []uint16, gs int) (idx, sad, evaluated int)
 }
 
 // activeKernels is the table every exported SAD entry point reads. It is
@@ -185,7 +197,9 @@ func scalarTable() *kernelTable {
 		hpDCapped: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h, cap int) int {
 			return sadHalfPelPlaneCappedScalar(cur, cx, cy, ref, 2*rx+1, 2*ry+1, w, h, cap)
 		},
-		ring: sadHalfPelRingScalar,
+		ring:      sadHalfPelRingScalar,
+		boundGrid: boundGridScalar,
+		scan:      scanCapped(sadCappedScalar),
 	}
 }
 
@@ -205,6 +219,8 @@ func swarTable() *kernelTable {
 		hpVCapped: sadHalfPelVCapped,
 		hpDCapped: sadHalfPelDCapped,
 		ring:      sadHalfPelRingSWAR,
+		boundGrid: boundGridScalar,
+		scan:      scanCapped(sadCappedSWAR),
 	}
 }
 

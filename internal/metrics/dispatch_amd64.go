@@ -63,6 +63,15 @@ func sadHpDCappedBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, 
 //go:noescape
 func sadHpRingBlkSSE2(cur *byte, curStride int, refTop *byte, refStride int, w, h int, out *[9]int)
 
+// The full-search kernels. rs/grid strides are in uint16 elements; ref
+// points at the window origin and order at the first (u, v) int16 pair.
+//
+//go:noescape
+func boundGridSSE2(cur *byte, curStride int, rs *uint16, rsStride, gw, gh, h int, grid *uint16, gstride int)
+
+//go:noescape
+func scanBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int, order *Offset, n, u0, v0, gw, gh int, grid *uint16, gstride int) (idx, sad, evaluated int)
+
 //go:noescape
 func sadBlkAVX2(cur *byte, curStride int, ref *byte, refStride int, w, h int) int
 
@@ -147,6 +156,15 @@ func pix(p *frame.Plane, x, y int) *byte {
 	return &p.Pix[y*p.Stride+x]
 }
 
+// gridPtr is the bound-grid base pointer the scan kernels take; nil
+// disables the bound test.
+func gridPtr(grid []uint16) *uint16 {
+	if len(grid) == 0 {
+		return nil
+	}
+	return &grid[0]
+}
+
 func sse2Table() *kernelTable {
 	return &kernelTable{
 		name: "sse2",
@@ -185,15 +203,22 @@ func sse2Table() *kernelTable {
 				pix(ref, rx-1, ry-1), ref.Stride, w, h, &out)
 			return out
 		},
+		boundGrid: func(cur *frame.Plane, cx, cy, h int, rs []uint16, stride, gw, gh int, grid []uint16, gs int) {
+			boundGridSSE2(pix(cur, cx, cy), cur.Stride, &rs[0], stride, gw, gh, h, &grid[0], gs)
+		},
+		scan: func(cur *frame.Plane, cx, cy int, ref *frame.Plane, bx, by, w, h int, win Window, order []Offset, grid []uint16, gs int) (int, int, int) {
+			return scanBlkSSE2(pix(cur, cx, cy), cur.Stride, pix(ref, bx+win.U0, by+win.V0), ref.Stride, w, h,
+				&order[0], len(order), win.U0, win.V0, win.Cols(), win.Rows(), gridPtr(grid), gs)
+		},
 	}
 }
 
 // avx2Table overrides the kernels where 256-bit lanes pay: plain SAD
 // (the motion-search workhorse), IntraSAD and the H/V half-pel probes.
-// The capped, diagonal and ring kernels keep the SSE2 implementations —
-// their per-row folds and 16-bit widening leave little for wider lanes,
-// and table entries may come from different tiers as long as each one
-// is bit-exact.
+// The capped, diagonal, ring, bound-grid and scan kernels keep the SSE2
+// implementations — their per-row folds and 16-bit widening leave little
+// for wider lanes, and table entries may come from different tiers as
+// long as each one is bit-exact.
 func avx2Table() *kernelTable {
 	t := *sse2Table()
 	t.name = "avx2"

@@ -1062,3 +1062,189 @@ TEXT ·xgetbvAsm(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET
+
+// func boundGridSSE2(cur *byte, curStride int, rs *uint16, rsStride, gw, gh, h int, grid *uint16, gstride int)
+//
+// The successive-elimination bound grid, eight candidates per xmm. The
+// frame holds the h current-block row sums C_y, each broadcast to eight
+// words. For every window row v and 8-lane chunk, the h row terms
+// |C_y − S| are formed as PSUBUSW both ways ORed together (one side is
+// always zero) and summed with PADDUSW. rs and gstride are in uint16
+// elements; chunks store whole lanes, up to gw rounded to 8.
+TEXT ·boundGridSSE2(SB), $256-72
+	MOVQ cur+0(FP), DI
+	MOVQ curStride+8(FP), CX
+	MOVQ h+48(FP), R9
+	XORQ R8, R8
+	PXOR X6, X6
+
+csum:
+	MOVOU (DI), X0
+	PSADBW X6, X0
+	PSHUFD $0xEE, X0, X1
+	PADDQ  X1, X0
+	PSHUFLW $0, X0, X0
+	PSHUFD  $0, X0, X0
+	MOVOU X0, (SP)(R8*1)
+	ADDQ $16, R8
+	ADDQ CX, DI
+	DECQ R9
+	JNZ  csum
+
+	MOVQ rs+16(FP), SI
+	MOVQ rsStride+24(FP), DX
+	SHLQ $1, DX
+	MOVQ gw+32(FP), R10
+	SHLQ $1, R10
+	MOVQ grid+56(FP), R11
+	MOVQ gstride+64(FP), R12
+	SHLQ $1, R12
+	MOVQ gh+40(FP), R13
+
+vrow:
+	XORQ AX, AX
+
+chunk:
+	CMPQ AX, R10
+	JGE  vnext
+	PXOR X0, X0
+	LEAQ (SI)(AX*1), BX
+	XORQ R8, R8
+	MOVQ h+48(FP), R9
+
+yloop:
+	MOVOU (BX), X1
+	MOVOU (SP)(R8*1), X2
+	MOVO  X2, X3
+	PSUBUSW X1, X3
+	PSUBUSW X2, X1
+	POR     X3, X1
+	PADDUSW X1, X0
+	ADDQ DX, BX
+	ADDQ $16, R8
+	DECQ R9
+	JNZ  yloop
+	MOVOU X0, (R11)(AX*1)
+	ADDQ $16, AX
+	JMP  chunk
+
+vnext:
+	ADDQ DX, SI
+	ADDQ R12, R11
+	DECQ R13
+	JNZ  vrow
+	RET
+
+// func scanBlkSSE2(cur *byte, curStride int, ref *byte, refStride int, w, h int, order *Offset, n, u0, v0, gw, gh int, grid *uint16, gstride int) (idx, sad, evaluated int)
+//
+// The full-search candidate loop. ref points at the window origin
+// (displacement (u0, v0)); order holds (u, v) int16 pairs. Per candidate:
+// clip to the window with one unsigned compare per axis, skip when the
+// bound grid (if any) says it cannot beat the minimum R14, else run the
+// capped SAD, stopping at the first row whose running sum reaches R14.
+// A candidate that survives every row is strictly better: it becomes
+// the minimum and its index is stored straight into the result slot.
+TEXT ·scanBlkSSE2(SB), NOSPLIT, $0-136
+	MOVQ $-1, idx+112(FP)
+	MOVQ $0x7fffffffffffffff, R14
+	XORQ R12, R12
+	XORQ R11, R11
+	MOVQ order+48(FP), R13
+
+cand:
+	CMPQ R11, n+56(FP)
+	JGE  out
+	MOVWQSX (R13)(R11*4), AX
+	MOVWQSX 2(R13)(R11*4), BX
+	SUBQ u0+64(FP), AX
+	CMPQ AX, gw+80(FP)
+	JAE  next
+	SUBQ v0+72(FP), BX
+	CMPQ BX, gh+88(FP)
+	JAE  next
+	MOVQ grid+96(FP), R8
+	TESTQ R8, R8
+	JZ   eval
+	MOVQ gstride+104(FP), R9
+	IMULQ BX, R9
+	ADDQ AX, R9
+	MOVWQZX (R8)(R9*2), R9
+	CMPQ R9, R14
+	JGE  next
+
+eval:
+	INCQ R12
+	MOVQ cur+0(FP), DI
+	MOVQ curStride+8(FP), CX
+	MOVQ refStride+24(FP), DX
+	MOVQ DX, SI
+	IMULQ BX, SI
+	ADDQ AX, SI
+	ADDQ ref+16(FP), SI
+	MOVQ h+40(FP), R9
+	MOVQ w+32(FP), BX
+	PXOR X7, X7
+	CMPQ BX, $16
+	JNE  row
+
+w16:
+	MOVOU (DI), X0
+	MOVOU (SI), X1
+	PSADBW X1, X0
+	PADDQ  X0, X7
+	PSHUFD $0xEE, X7, X0
+	PADDQ  X7, X0
+	MOVQ X0, R10
+	CMPQ R10, R14
+	JGE  next
+	ADDQ CX, DI
+	ADDQ DX, SI
+	DECQ R9
+	JNZ  w16
+	JMP  better
+
+row:
+	XORQ AX, AX
+
+chunk16:
+	LEAQ 16(AX), R8
+	CMPQ R8, BX
+	JGT  tail8
+	MOVOU (DI)(AX*1), X0
+	MOVOU (SI)(AX*1), X1
+	PSADBW X1, X0
+	PADDQ  X0, X7
+	MOVQ R8, AX
+	JMP  chunk16
+
+tail8:
+	CMPQ AX, BX
+	JGE  fold
+	MOVQ (DI)(AX*1), X0
+	MOVQ (SI)(AX*1), X1
+	PSADBW X1, X0
+	PADDQ  X0, X7
+
+fold:
+	PSHUFD $0xEE, X7, X0
+	PADDQ  X7, X0
+	MOVQ X0, R10
+	CMPQ R10, R14
+	JGE  next
+	ADDQ CX, DI
+	ADDQ DX, SI
+	DECQ R9
+	JNZ  row
+
+better:
+	MOVQ R10, R14
+	MOVQ R11, idx+112(FP)
+
+next:
+	INCQ R11
+	JMP  cand
+
+out:
+	MOVQ R14, sad+120(FP)
+	MOVQ R12, evaluated+128(FP)
+	RET

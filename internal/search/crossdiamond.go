@@ -84,5 +84,5 @@ func (c *CrossDiamond) Search(in *Input) Result {
 		mv, sad, extra := refineHalfPel(in, best, bestSAD)
 		best, bestSAD, pts = mv, sad, pts+extra
 	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return Result{MV: best, SAD: bestSAD, Points: pts, Evaluated: pts}
 }

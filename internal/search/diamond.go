@@ -72,5 +72,5 @@ func (d *Diamond) Search(in *Input) Result {
 		mv, sad, extra := refineHalfPel(in, best, bestSAD)
 		best, bestSAD, pts = mv, sad, pts+extra
 	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return Result{MV: best, SAD: bestSAD, Points: pts, Evaluated: pts}
 }

@@ -61,5 +61,5 @@ func (f *FSS) Search(in *Input) Result {
 		mv, sad, extra := refineHalfPel(in, best, bestSAD)
 		best, bestSAD, pts = mv, sad, pts+extra
 	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return Result{MV: best, SAD: bestSAD, Points: pts, Evaluated: pts}
 }

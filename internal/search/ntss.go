@@ -30,7 +30,7 @@ func (n *NTSS) Search(in *Input) Result {
 			mv, sad, extra := refineHalfPel(in, best, bestSAD)
 			best, bestSAD, pts = mv, sad, pts+extra
 		}
-		return Result{MV: best, SAD: bestSAD, Points: pts}
+		return Result{MV: best, SAD: bestSAD, Points: pts, Evaluated: pts}
 	}
 
 	step := 1
@@ -170,5 +170,5 @@ func (h *HEXBS) Search(in *Input) Result {
 		mv, sad, extra := refineHalfPel(in, best, bestSAD)
 		best, bestSAD, pts = mv, sad, pts+extra
 	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return Result{MV: best, SAD: bestSAD, Points: pts, Evaluated: pts}
 }

@@ -53,7 +53,7 @@ func (f *RCFSBM) Search(in *Input) Result {
 	}
 	if bestSAD < 0 {
 		sad := in.SAD(mvfield.Zero)
-		return Result{MV: mvfield.Zero, SAD: sad, Points: 1}
+		return Result{MV: mvfield.Zero, SAD: sad, Points: 1, Evaluated: 1}
 	}
 	if !f.NoHalfPel {
 		for dy := -1; dy <= 1; dy++ {
@@ -74,5 +74,5 @@ func (f *RCFSBM) Search(in *Input) Result {
 			}
 		}
 	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return Result{MV: best, SAD: bestSAD, Points: pts, Evaluated: pts}
 }

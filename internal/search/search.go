@@ -4,8 +4,9 @@
 // fast-search baselines (TSS, 4SS, diamond, cross-diamond) referenced in
 // the paper's related work.
 //
-// Every searcher reports the number of candidate positions it evaluated —
-// the computational-complexity metric of the paper's Table 1.
+// Every searcher reports the number of candidate positions it considered
+// — the computational-complexity metric of the paper's Table 1 — and how
+// many of them it actually scored (Result.Evaluated).
 package search
 
 import (
@@ -20,11 +21,13 @@ import (
 type Input struct {
 	Cur *frame.Plane
 	Ref *frame.Plane
-	// RefI is retained for compatibility with callers that pre-build a
-	// half-pel view of Ref; the searchers no longer read it. Half-pel
-	// candidates are evaluated by kernels that fuse the H.263 bilinear
-	// interpolation into the SAD directly against Ref (bit-identical
-	// values), so probing costs no grid materialisation.
+	// RefI, when non-nil, is the reference view of Ref (RefI.Src() ==
+	// Ref). FSBM reads its lazily filled row-sum phase to prune the full
+	// search by the successive-elimination bound; without it the search
+	// evaluates every candidate, with the same result. No searcher reads
+	// its half-pel phases: half-pel candidates are evaluated by kernels
+	// that fuse the H.263 bilinear interpolation into the SAD directly
+	// against Ref (bit-identical values).
 	RefI *frame.Interpolated
 
 	BX, BY int // block anchor in pels
@@ -53,7 +56,11 @@ type Input struct {
 type Result struct {
 	MV     mvfield.MV // best motion vector, half-pel units
 	SAD    int        // its matching error
-	Points int        // candidate positions evaluated (Table 1 metric)
+	Points int        // candidate positions considered (Table 1 metric)
+	// Evaluated counts the candidates whose SAD kernel actually ran.
+	// It equals Points except where a search prunes candidates that
+	// provably cannot win (FSBM's successive-elimination bound).
+	Evaluated int
 }
 
 // Searcher is a block-matching motion estimation algorithm.

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/metrics"
 	"repro/internal/mvfield"
 )
 
@@ -23,7 +24,10 @@ import (
 // first-visited candidate the raster-minimal one — exactly the candidate
 // the raster loop would have kept. Points counts are unchanged because the
 // candidate set is unchanged.
-var spiralCache sync.Map // search range (int) → []mvfield.MV in scan order
+var (
+	spiralCache sync.Map // search range (int) → []mvfield.MV in scan order
+	orderCache  sync.Map // search range (int) → []metrics.Offset, same order
+)
 
 // spiralOffsets returns all (2r+1)² full-pel candidate vectors for ±r,
 // sorted centre-outward: ascending |u|+|v|, ties in raster (v, u) order.
@@ -43,4 +47,20 @@ func spiralOffsets(r int) []mvfield.MV {
 	})
 	actual, _ := spiralCache.LoadOrStore(r, offs)
 	return actual.([]mvfield.MV)
+}
+
+// spiralOrder is spiralOffsets as full-pel displacements, the form the
+// batched scan kernels read.
+func spiralOrder(r int) []metrics.Offset {
+	if v, ok := orderCache.Load(r); ok {
+		return v.([]metrics.Offset)
+	}
+	mvs := spiralOffsets(r)
+	order := make([]metrics.Offset, len(mvs))
+	for i, mv := range mvs {
+		u, v := mv.FullPel()
+		order[i] = metrics.Offset{U: int16(u), V: int16(v)}
+	}
+	actual, _ := orderCache.LoadOrStore(r, order)
+	return actual.([]metrics.Offset)
 }

@@ -104,7 +104,11 @@ func TestSpiralMatchesRaster(t *testing.T) {
 						mv, sad, extra := refineHalfPel(&in2, want.MV, want.SAD)
 						want = Result{MV: mv, SAD: sad, Points: want.Points + extra}
 					}
-					if got != want {
+					// Evaluated is the batched scan's own count (the raster
+					// reference prunes nothing); it can only fall short of
+					// Points.
+					if got.MV != want.MV || got.SAD != want.SAD || got.Points != want.Points ||
+						got.Evaluated < 1 || got.Evaluated > got.Points {
 						t.Errorf("%s anchor=%v range=%d nohalfpel=%v: spiral %+v != raster %+v",
 							tc.name, anchor, rng, nhp, got, want)
 					}

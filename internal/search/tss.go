@@ -56,5 +56,5 @@ func (t *TSS) Search(in *Input) Result {
 		mv, sad, extra := refineHalfPel(in, best, bestSAD)
 		best, bestSAD, pts = mv, sad, pts+extra
 	}
-	return Result{MV: best, SAD: bestSAD, Points: pts}
+	return Result{MV: best, SAD: bestSAD, Points: pts, Evaluated: pts}
 }
