@@ -10,7 +10,8 @@
 #                       multi-core hosts)
 #   make fuzz-smoke   — a short fixed-time run of the fuzz targets on
 #                       untrusted input (the /encode query parser, the
-#                       Y4M upload reader and both packet-stream readers)
+#                       ladder spec parser, the Y4M upload reader and
+#                       both packet-stream readers)
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzY4MReader -fuzztime 10s ./internal/frame/
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketReader$$' -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzLadderPacketReader$$' -fuzztime 10s ./internal/codec/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseLadderSpec$$' -fuzztime 10s ./internal/codec/
 
 bench-smoke:
 	$(GO) run ./cmd/acbmbench -experiment dispatch

@@ -270,7 +270,7 @@ func main() {
 			}
 			fmt.Print(experiment.FormatSpeed(res))
 			if *jsonPath != "" {
-				if err := res.WriteJSON(*jsonPath); err != nil {
+				if err := experiment.WriteJSON(*jsonPath, res); err != nil {
 					return err
 				}
 				fmt.Printf("wrote %s\n", *jsonPath)
@@ -292,7 +292,7 @@ func main() {
 			// Only the dedicated invocation writes the artifact, so an
 			// `-experiment all -json …` run cannot clobber BENCH_speed.json.
 			if *jsonPath != "" && *expName == "rate" {
-				if err := res.WriteJSON(*jsonPath); err != nil {
+				if err := experiment.WriteJSON(*jsonPath, res); err != nil {
 					return err
 				}
 				fmt.Printf("wrote %s\n", *jsonPath)
@@ -332,7 +332,7 @@ func main() {
 				if err != nil {
 					return err
 				}
-				if err := r.WriteJSON(*ratchetPath); err != nil {
+				if err := experiment.WriteJSON(*ratchetPath, r); err != nil {
 					return err
 				}
 				fmt.Printf("wrote %s (tolerance %.0f%%, cross-host ×%.1f)\n",

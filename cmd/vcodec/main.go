@@ -122,7 +122,7 @@ func runEncode(args []string) error {
 	if err != nil {
 		return err
 	}
-	mode, err := parseEntropy(*entropy)
+	mode, err := codec.ParseEntropy(*entropy)
 	if err != nil {
 		return err
 	}
@@ -496,16 +496,6 @@ func makeSearcher(name string, alpha, beta int, budget float64) (search.Searcher
 		return nil, fmt.Errorf("-budget requires -me acbm (the budget servos ACBM's thresholds; got -me %s)", name)
 	}
 	return core.SearcherByName(name)
-}
-
-func parseEntropy(name string) (codec.EntropyMode, error) {
-	switch strings.ToLower(name) {
-	case "expgolomb", "eg", "":
-		return codec.EntropyExpGolomb, nil
-	case "arith", "arithmetic", "sac":
-		return codec.EntropyArith, nil
-	}
-	return 0, fmt.Errorf("unknown entropy backend %q", name)
 }
 
 func fatal(err error) {

@@ -48,6 +48,15 @@
 // end with zero truncated sessions and the controller restored to level
 // 0. The aggregate lands in BENCH_qos.json.
 //
+// Every mode drives its sessions through one client, which classifies
+// each session the same way: completed (every frame, in index order,
+// byte-identical to the offline encoder when verified), explicit-fail (a
+// transport error, a non-200, an X-Vcodec-Error trailer or a record cut
+// mid-read) or truncated (a clean end with the wrong frame count, an
+// out-of-order index or a byte mismatch). The serve sweep and -qos fail
+// on any session that does not complete; -chaos accepts explicit
+// failures under a fault but never a truncation.
+//
 // Every report names each point's slowest session by its trace ID (the
 // X-Vcodec-Trace trailer) and dumps that session's per-frame timeline —
 // read, queue wait, analysis, entropy and emit latency, bits, Qp, QoS
@@ -60,9 +69,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -153,13 +161,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(experiment.FormatLadder(res))
-		if *jsonPath != "" {
-			if err := res.WriteJSON(*jsonPath); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
+		report(experiment.FormatLadder(res), res, *jsonPath)
 		return
 	}
 
@@ -192,13 +194,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(experiment.FormatQos(res))
-		if *jsonPath != "" {
-			if err := res.WriteJSON(*jsonPath); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
+		report(experiment.FormatQos(res), res, *jsonPath)
 		return
 	}
 
@@ -230,13 +226,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Print(experiment.FormatCluster(res))
-		if *jsonPath != "" {
-			if err := res.WriteJSON(*jsonPath); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %s\n", *jsonPath)
-		}
+		report(experiment.FormatCluster(res), res, *jsonPath)
 		return
 	}
 
@@ -244,28 +234,19 @@ func main() {
 		if len(urls) > 0 {
 			fatal(fmt.Errorf("-url and -selfhost are mutually exclusive"))
 		}
-		maxSess := 0
-		for _, n := range counts {
-			if n > maxSess {
-				maxSess = n
-			}
-		}
-		srv := server.New(server.Config{PoolWorkers: *pool, MaxSessions: maxSess})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		base, stop, err := experiment.SelfHost(server.Config{PoolWorkers: *pool, MaxSessions: slices.Max(counts)})
 		if err != nil {
 			fatal(err)
 		}
-		go http.Serve(ln, srv.Handler())
-		urls = []string{"http://" + ln.Addr().String()}
-		fmt.Printf("vload: self-hosted daemon on %s\n", urls[0])
+		defer stop()
+		urls = []string{base}
+		fmt.Printf("vload: self-hosted daemon on %s\n", base)
 	}
 	if len(urls) == 0 {
 		fatal(fmt.Errorf("-url is required (or use -selfhost)"))
 	}
-	for _, u := range urls {
-		if err := waitHealthy(u, *wait); err != nil {
-			fatal(err)
-		}
+	if err := experiment.WaitHealthy(urls, *wait); err != nil {
+		fatal(err)
 	}
 
 	res, err := experiment.RunServe(experiment.ServeConfig{
@@ -288,32 +269,19 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(experiment.FormatServe(res))
-	if *jsonPath != "" {
-		if err := res.WriteJSON(*jsonPath); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s\n", *jsonPath)
-	}
+	report(experiment.FormatServe(res), res, *jsonPath)
 }
 
-// waitHealthy polls /healthz until the daemon answers 200.
-func waitHealthy(base string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-			err = fmt.Errorf("status %d", resp.StatusCode)
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon at %s not healthy after %v: %w", base, timeout, err)
-		}
-		time.Sleep(50 * time.Millisecond)
+// report prints the text report and, with -json, writes the artifact.
+func report(text string, res any, jsonPath string) {
+	fmt.Print(text)
+	if jsonPath == "" {
+		return
 	}
+	if err := experiment.WriteJSON(jsonPath, res); err != nil {
+		fatal(err)
+	}
+	fmt.Printf("wrote %s\n", jsonPath)
 }
 
 func parseSessions(s string) ([]int, error) {

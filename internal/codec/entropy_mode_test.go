@@ -122,3 +122,24 @@ func TestEntropyModeString(t *testing.T) {
 		t.Fatal("entropy mode names wrong")
 	}
 }
+
+// TestParseEntropy pins the backend vocabulary the CLI, the /encode query
+// and the load generator share, and that every mode's String parses back.
+func TestParseEntropy(t *testing.T) {
+	for name, want := range map[string]EntropyMode{
+		"": EntropyExpGolomb, "expgolomb": EntropyExpGolomb, "EG": EntropyExpGolomb,
+		"arith": EntropyArith, "Arithmetic": EntropyArith, "sac": EntropyArith,
+	} {
+		if got, err := ParseEntropy(name); err != nil || got != want {
+			t.Errorf("ParseEntropy(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	for _, m := range []EntropyMode{EntropyExpGolomb, EntropyArith} {
+		if got, err := ParseEntropy(m.String()); err != nil || got != m {
+			t.Errorf("ParseEntropy(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if _, err := ParseEntropy("huffman"); err == nil {
+		t.Error("ParseEntropy accepted an unknown backend")
+	}
+}

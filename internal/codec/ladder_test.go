@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/frame"
@@ -184,6 +185,48 @@ func TestParseLadderSpec(t *testing.T) {
 			t.Errorf("ParseLadderSpec(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParseLadderSpec feeds ParseLadderSpec the untrusted ladder= query
+// value. It must never panic, and whatever it accepts must be a valid
+// rung chain (ValidateLadder) with a finite, non-negative bitrate target
+// on every rung. Plain `go test` runs the seeds.
+func FuzzParseLadderSpec(f *testing.F) {
+	for _, seed := range []string{
+		"64x64@300,32x32@120,16x16",
+		"704x576@1500,352x288@500,176x144@150",
+		"128x96@0",
+		" 64x64 , 32x32 ",
+		"64x64@1e308,32x32@-0",
+		"",
+		",",
+		"64x64,48x48",
+		"65x64",
+		"-16x-16",
+		"64x64@NaN",
+		"64x64@Inf",
+		"64x64@-1",
+		"0x0",
+		"99999999999999999999x16",
+		"64x64@300@2",
+		"64xx64",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		specs, err := ParseLadderSpec(s)
+		if err != nil {
+			return
+		}
+		if err := ValidateLadder(specs); err != nil {
+			t.Fatalf("ParseLadderSpec(%q) accepted an invalid chain %+v: %v", s, specs, err)
+		}
+		for i, spec := range specs {
+			if !(spec.TargetKbps >= 0) || math.IsInf(spec.TargetKbps, 0) {
+				t.Fatalf("ParseLadderSpec(%q): rung %d bitrate %v", s, i, spec.TargetKbps)
+			}
+		}
+	})
 }
 
 // TestLadderPacketFraming round-trips rung-tagged records.

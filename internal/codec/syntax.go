@@ -3,6 +3,7 @@ package codec
 import (
 	"fmt"
 	"math/bits"
+	"strings"
 
 	"repro/internal/arith"
 	"repro/internal/bitstream"
@@ -27,6 +28,20 @@ func (m EntropyMode) String() string {
 		return "arith"
 	}
 	return "expgolomb"
+}
+
+// ParseEntropy maps a backend name, as the CLI flags and the /encode
+// query spell it, onto its mode: "", "expgolomb" or "eg" for the
+// default, "arith", "arithmetic" or "sac" for the arithmetic coder. Case
+// is ignored.
+func ParseEntropy(name string) (EntropyMode, error) {
+	switch strings.ToLower(name) {
+	case "", "expgolomb", "eg":
+		return EntropyExpGolomb, nil
+	case "arith", "arithmetic", "sac":
+		return EntropyArith, nil
+	}
+	return 0, fmt.Errorf("unknown entropy backend %q", name)
 }
 
 // Syntax element contexts. The Exp-Golomb backend ignores them; the

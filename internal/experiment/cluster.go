@@ -1,17 +1,10 @@
 package experiment
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
-	"os"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -138,12 +131,11 @@ type ClusterResult struct {
 // selfCluster is the in-process topology: real vcodecd servers, a chaos
 // proxy in front of each, and a gateway routing across the proxies.
 type selfCluster struct {
-	servers []*server.Server
-	https   []*http.Server
-	fleet   *chaos.Fleet
-	gw      *gateway.Gateway
-	gwSrv   *http.Server
-	url     string
+	stops []func() // the backends'
+	fleet *chaos.Fleet
+	gw    *gateway.Gateway
+	gwSrv *http.Server
+	url   string
 }
 
 func startSelfCluster(cfg ClusterConfig) (*selfCluster, error) {
@@ -156,16 +148,12 @@ func startSelfCluster(cfg ClusterConfig) (*selfCluster, error) {
 	for i := 0; i < cfg.Backends; i++ {
 		// Small per-backend admission so high-load actually sheds: the
 		// gateway's retry path is part of the topology under test.
-		s := server.New(server.Config{MaxSessions: 4, MaxQueued: 2})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		url, stop, err := SelfHost(server.Config{MaxSessions: 4, MaxQueued: 2})
 		if err != nil {
 			return fail(err)
 		}
-		hs := &http.Server{Handler: s.Handler()}
-		go hs.Serve(ln)
-		c.servers = append(c.servers, s)
-		c.https = append(c.https, hs)
-		targets = append(targets, ln.Addr().String())
+		c.stops = append(c.stops, stop)
+		targets = append(targets, strings.TrimPrefix(url, "http://"))
 	}
 	fleet, err := chaos.NewFleet(targets)
 	if err != nil {
@@ -208,9 +196,8 @@ func (c *selfCluster) close() {
 	if c.fleet != nil {
 		c.fleet.Close()
 	}
-	for i, hs := range c.https {
-		hs.Close()
-		c.servers[i].Close()
+	for _, stop := range c.stops {
+		stop()
 	}
 }
 
@@ -237,16 +224,14 @@ func RunCluster(cfg ClusterConfig) (*ClusterResult, error) {
 			}
 		}
 	}
-	if err := waitEndpoints(urls, 10*time.Second); err != nil {
+	if err := WaitHealthy(urls, 10*time.Second); err != nil {
 		return nil, err
 	}
 
-	frames := video.Generate(cfg.Profile, cfg.Size, cfg.Frames, cfg.Seed)
-	var body bytes.Buffer
-	if err := frame.WriteY4M(&body, frames, 30, 1); err != nil {
+	frames, upload, err := renderClip(cfg.Profile, cfg.Size, cfg.Frames, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
-	upload := body.Bytes()
 	scfg, err := offlineConfig(ServeConfig{Qp: cfg.Qp, Searcher: cfg.Searcher, Entropy: cfg.Entropy})
 	if err != nil {
 		return nil, err
@@ -310,83 +295,54 @@ func runScenario(client *http.Client, name string, urls []string, upload []byte,
 		defer proxy.SetPlan(chaos.Plan{})
 	}
 
-	before := scrapeGatewayCounters(client, urls)
-	samples := make([]clusterSample, sessions)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < sessions; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			samples[i] = runClusterSession(client, urls[i%len(urls)], upload, offline, cfg)
-		}(i)
-	}
+	scfg := ServeConfig{Qp: cfg.Qp, Searcher: cfg.Searcher, Entropy: cfg.Entropy, Retry503: cfg.Retry503, RetryMax: cfg.RetryMax}
+	counters := []string{"gateway_retries_total", "gateway_backend_breaker_trips_total"}
+	before := scrapeCounters(client, urls, counters...)
 	if fault != nil {
 		// Land the fault mid-burst: after the first sessions have committed
 		// their streams but well before the burst drains.
 		time.AfterFunc(150*time.Millisecond, fault)
 	}
-	wg.Wait()
-	wall := time.Since(start)
+	// Every session byte-verifies: under a fault each one must complete
+	// identical to the offline encoder or fail loudly.
+	b := runBurst(client, sessions, func(i int) session {
+		url := sessionURL(urls[i%len(urls)], i, false, scfg)
+		return session{url: url, upload: upload, frames: cfg.Frames, ref: offline, retries: scfg.retries()}
+	})
 	if self != nil {
 		// Let breakers close and health polls settle before the next
 		// scenario starts from a clean fleet.
 		time.Sleep(300 * time.Millisecond)
 	}
-	after := scrapeGatewayCounters(client, urls)
+	after := scrapeCounters(client, urls, counters...)
 
 	pt := &ClusterPoint{
 		Scenario:       name,
 		Sessions:       sessions,
-		WallSeconds:    wall.Seconds(),
-		GatewayRetries: after.retries - before.retries,
-		BreakerTrips:   after.breakerTrips - before.breakerTrips,
+		Completed:      b.count(completed),
+		FailedExplicit: b.count(explicitFail),
+		Truncated:      b.count(truncated),
+		WallSeconds:    b.wall.Seconds(),
+		GatewayRetries: after[0] - before[0],
+		BreakerTrips:   after[1] - before[1],
+		// The scenario's tail, timeline resolved through the gateway's
+		// trace proxy (best-effort under chaos — the serving backend may
+		// be the one that just died).
+		Worst: b.worst(client, urls),
 	}
-	var firsts []time.Duration
-	for i := range samples {
-		s := &samples[i]
+	for i := range b.samples {
+		s := &b.samples[i]
 		pt.Client503Retries += s.retries503
-		switch s.outcome {
-		case outcomeCompleted:
-			pt.Completed++
-			if s.attempts > 1 {
-				pt.Retried++
-			}
-			firsts = append(firsts, s.firstPacket)
-		case outcomeExplicitFail:
-			pt.FailedExplicit++
-		case outcomeTruncated:
-			pt.Truncated++
+		if s.outcome == completed && s.attempts > 1 {
+			pt.Retried++
 		}
 	}
+	firsts, _ := b.latencies()
 	pt.FirstPacketMsP50 = quantileMs(firsts, 0.50)
 	pt.FirstPacketMsP99 = quantileMs(firsts, 0.99)
 
-	// The scenario's tail: slowest completed session, timeline resolved
-	// through the gateway's trace proxy (best-effort under chaos — the
-	// serving backend may be the one that just died).
-	worst := -1
-	for i := range samples {
-		if samples[i].outcome != outcomeCompleted || samples[i].traceID == "" {
-			continue
-		}
-		if worst < 0 || samples[i].wall > samples[worst].wall {
-			worst = i
-		}
-	}
-	if worst >= 0 {
-		s := &samples[worst]
-		w := &WorstSession{
-			TraceID:       s.traceID,
-			Backend:       s.backend,
-			Attempts:      s.attempts,
-			WallMs:        float64(s.wall.Nanoseconds()) / 1e6,
-			FirstPacketMs: float64(s.firstPacket.Nanoseconds()) / 1e6,
-		}
-		w.Timeline, w.DroppedFrames = fetchTimeline(client, urls, s.traceID)
-		pt.Worst = w
-	}
-
+	// The cluster policy: explicit failures are legitimate under a fault,
+	// a truncation never is.
 	if pt.Truncated > 0 {
 		return nil, fmt.Errorf("%d sessions returned truncated-but-clean streams (delivery contract violated)", pt.Truncated)
 	}
@@ -397,175 +353,6 @@ func runScenario(client *http.Client, name string, urls []string, upload []byte,
 		return nil, fmt.Errorf("%d failures with no fault injected", pt.FailedExplicit)
 	}
 	return pt, nil
-}
-
-type clusterOutcome int
-
-const (
-	outcomeCompleted clusterOutcome = iota
-	outcomeExplicitFail
-	outcomeTruncated
-)
-
-type clusterSample struct {
-	outcome     clusterOutcome
-	attempts    int
-	retries503  int
-	firstPacket time.Duration
-	wall        time.Duration // accepted submission → stream drained
-	traceID     string        // X-Vcodec-Trace trailer
-	backend     string        // X-Vcodec-Backend trailer
-	err         error
-}
-
-// runClusterSession is one verifying client: it uploads the clip and
-// byte-compares every received packet against the offline encoder. The
-// classification is strict: a clean EOF with no error trailer must carry
-// the complete, identical clip, anything else with a clean face is a
-// contract violation.
-func runClusterSession(client *http.Client, base string, upload []byte, offline [][]byte, cfg ClusterConfig) clusterSample {
-	url := fmt.Sprintf("%s/encode?qp=%d&me=%s&entropy=%s", base, cfg.Qp, cfg.Searcher, cfg.Entropy)
-	var s clusterSample
-	for attempt := 0; ; attempt++ {
-		begin := time.Now()
-		resp, err := client.Post(url, "video/x-yuv4mpeg", bytes.NewReader(upload))
-		if err != nil {
-			s.outcome, s.err = outcomeExplicitFail, err
-			return s
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && cfg.Retry503 && attempt < cfg.RetryMax {
-			// Honor the advertised delay: the server said when to come back.
-			delay := 200 * time.Millisecond
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				delay = time.Duration(ra) * time.Second
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			s.retries503++
-			time.Sleep(delay)
-			continue
-		}
-		if resp.StatusCode != http.StatusOK {
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-			resp.Body.Close()
-			s.outcome = outcomeExplicitFail
-			s.err = fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-			return s
-		}
-
-		pr := codec.NewPacketReader(resp.Body)
-		n, mismatch := 0, false
-		for {
-			idx, data, err := pr.ReadPacket()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				// Cut mid-record: loud, detectable, an explicit failure.
-				resp.Body.Close()
-				s.outcome, s.err = outcomeExplicitFail, err
-				return s
-			}
-			if n == 1 {
-				s.firstPacket = time.Since(begin)
-			}
-			if idx != n || n >= len(offline) || !bytes.Equal(data, offline[n]) {
-				mismatch = true
-			}
-			n++
-		}
-		resp.Body.Close()
-		s.wall = time.Since(begin)
-		s.traceID = resp.Trailer.Get("X-Vcodec-Trace")
-		s.backend = resp.Trailer.Get("X-Vcodec-Backend")
-		s.attempts = 1
-		if a, err := strconv.Atoi(resp.Trailer.Get("X-Vcodec-Attempts")); err == nil {
-			s.attempts = a
-		}
-		if errT := resp.Trailer.Get("X-Vcodec-Error"); errT != "" {
-			s.outcome, s.err = outcomeExplicitFail, fmt.Errorf("server: %s", errT)
-			return s
-		}
-		if mismatch || n != len(offline) {
-			s.outcome = outcomeTruncated
-			s.err = fmt.Errorf("clean stream with %d/%d packets (mismatch=%v)", n, len(offline), mismatch)
-			return s
-		}
-		s.outcome = outcomeCompleted
-		return s
-	}
-}
-
-// gatewayCounters are the metric deltas a scenario reports.
-type gatewayCounters struct {
-	retries      int64
-	breakerTrips int64
-}
-
-// scrapeGatewayCounters sums gateway_retries_total and per-backend
-// breaker trips across the endpoints; endpoints without gateway metrics
-// (bare vcodecd) contribute zero.
-func scrapeGatewayCounters(client *http.Client, urls []string) gatewayCounters {
-	var c gatewayCounters
-	for _, u := range urls {
-		resp, err := client.Get(u + "/metrics")
-		if err != nil {
-			continue
-		}
-		sc := bufio.NewScanner(resp.Body)
-		for sc.Scan() {
-			line := sc.Text()
-			name, val, found := strings.Cut(line, " ")
-			if !found {
-				continue
-			}
-			v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-			if err != nil {
-				continue
-			}
-			switch {
-			case name == "gateway_retries_total":
-				c.retries += int64(v)
-			case strings.HasPrefix(name, "gateway_backend_breaker_trips_total{"):
-				c.breakerTrips += int64(v)
-			}
-		}
-		resp.Body.Close()
-	}
-	return c
-}
-
-// waitEndpoints polls every endpoint's /healthz until it answers (any
-// status: a gateway with a still-converging fleet is reachable).
-func waitEndpoints(urls []string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for _, u := range urls {
-		for {
-			resp, err := http.Get(u + "/healthz")
-			if err == nil {
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode == http.StatusOK {
-					break
-				}
-				err = fmt.Errorf("status %d", resp.StatusCode)
-			}
-			if time.Now().After(deadline) {
-				return fmt.Errorf("endpoint %s not healthy after %v: %w", u, timeout, err)
-			}
-			time.Sleep(50 * time.Millisecond)
-		}
-	}
-	return nil
-}
-
-// WriteJSON writes the result to path (pretty-printed, trailing newline).
-func (r *ClusterResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatCluster renders the chaos report as an aligned text table.

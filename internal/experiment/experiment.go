@@ -6,6 +6,8 @@
 package experiment
 
 import (
+	"encoding/json"
+	"os"
 	"runtime"
 	"sync"
 
@@ -105,4 +107,13 @@ func forEachIndex(n int, fn func(i int) error) error {
 		}
 	}
 	return nil
+}
+
+// WriteJSON writes a report to path (pretty-printed, trailing newline).
+func WriteJSON(path string, report any) error {
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -2,9 +2,7 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/codec"
@@ -307,15 +305,6 @@ func RunLadder(cfg LadderConfig) (*LadderResult, error) {
 		res.PerRung = append(res.PerRung, rep)
 	}
 	return res, nil
-}
-
-// WriteJSON writes the result to path (pretty-printed, trailing newline).
-func (r *LadderResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatLadder renders the result as an aligned text table.

@@ -1,18 +1,14 @@
 package experiment
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/codec"
@@ -174,12 +170,10 @@ type QosResult struct {
 // restore full quality after a ramp step.
 func RunQos(cfg QosConfig) (*QosResult, error) {
 	cfg = cfg.withDefaults()
-	frames := video.Generate(cfg.Profile, cfg.Size, cfg.Frames, cfg.Seed)
-	var body bytes.Buffer
-	if err := frame.WriteY4M(&body, frames, 30, 1); err != nil {
+	frames, upload, err := renderClip(cfg.Profile, cfg.Size, cfg.Frames, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
-	upload := body.Bytes()
 
 	url, stop, err := startQosDaemon(cfg)
 	if err != nil {
@@ -216,11 +210,8 @@ func RunQos(cfg QosConfig) (*QosResult, error) {
 		}
 		encodeWall := time.Since(start)
 
-		urls := []string{url + fmt.Sprintf("/encode?qp=%d&me=%s&entropy=%s&qoslevel=%d",
-			cfg.Qp, cfg.Searcher, cfg.Entropy, level)}
-		scfg.Verify = true
-		pt, err := runServePoint(client, urls, upload, 1, scfg, offline)
-		if err != nil {
+		pt, b := runServePoint(client, []string{url}, upload, 1, scfg, offline)
+		if err := b.requireCompleted(); err != nil {
 			return nil, fmt.Errorf("pinned level %d: %w", level, err)
 		}
 		res.Levels = append(res.Levels, QosLevelCost{
@@ -235,15 +226,12 @@ func RunQos(cfg QosConfig) (*QosResult, error) {
 	// Phase 2: the overload ramp. Adaptive mixed-priority sessions; the
 	// controller is the only thing standing between the ramp and the
 	// saturation latency the baseline benchmark measured.
-	urls := []string{url + fmt.Sprintf("/encode?qp=%d&me=%s&entropy=%s", cfg.Qp, cfg.Searcher, cfg.Entropy)}
+	counters := []string{"vcodecd_qos_degrades_total", "vcodecd_qos_restores_total"}
 	for _, n := range cfg.Sessions {
-		preDeg, preRes := scrapeQosCounters(client, url)
+		pre := scrapeCounters(client, []string{url}, counters...)
 		scfg := serveConfigFor(cfg)
 		scfg.Priority = "mixed"
-		pt, err := runServePoint(client, urls, upload, n, scfg, nil)
-		if err != nil {
-			return nil, fmt.Errorf("sessions=%d: %w", n, err)
-		}
+		pt, b := runServePoint(client, []string{url}, upload, n, scfg, nil)
 		qpt := QosPoint{
 			Sessions:         n,
 			TotalFrames:      pt.TotalFrames,
@@ -255,15 +243,19 @@ func RunQos(cfg QosConfig) (*QosResult, error) {
 			FrameMsP99:       pt.FrameMsP99,
 			QosFinalLevels:   pt.QosFinalLevels,
 			QosTransitions:   pt.QosTransitions,
+			Truncated:        b.count(truncated),
 			Worst:            pt.Worst,
+		}
+		if err := b.requireCompleted(); err != nil {
+			return nil, fmt.Errorf("sessions=%d: %w", n, err)
 		}
 		// The point's load is gone; the controller must hand quality
 		// back (restore hysteresis: a few ticks per step). The counter
 		// deltas are read only after that walk so the point's Restores
 		// include its own ramp-down.
 		qpt.RestoredToZero = waitQosLevelZero(client, url, cfg.RestoreWait)
-		postDeg, postRes := scrapeQosCounters(client, url)
-		qpt.Degrades, qpt.Restores = postDeg-preDeg, postRes-preRes
+		post := scrapeCounters(client, []string{url}, counters...)
+		qpt.Degrades, qpt.Restores = post[0]-pre[0], post[1]-pre[1]
 		if !qpt.RestoredToZero {
 			return nil, fmt.Errorf("sessions=%d: controller did not restore to level 0 within %v", n, cfg.RestoreWait)
 		}
@@ -277,22 +269,12 @@ func RunQos(cfg QosConfig) (*QosResult, error) {
 // otherwise — and returns its base URL plus a shutdown func.
 func startQosDaemon(cfg QosConfig) (string, func(), error) {
 	if cfg.DaemonBin == "" {
-		srv := server.New(server.Config{
+		return SelfHost(server.Config{
 			MaxSessions:      cfg.MaxSessions,
 			MaxQueued:        64,
 			QosInterval:      cfg.Interval,
 			QosTargetFrameMs: cfg.TargetFrameMs,
 		})
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return "", nil, err
-		}
-		hs := &http.Server{Handler: srv.Handler()}
-		go hs.Serve(ln)
-		return "http://" + ln.Addr().String(), func() {
-			hs.Close()
-			srv.Close()
-		}, nil
 	}
 
 	tmp, err := os.MkdirTemp("", "qosbench")
@@ -352,34 +334,6 @@ func serveConfigFor(cfg QosConfig) ServeConfig {
 	}
 }
 
-// scrapeQosCounters reads the controller's cumulative degrade/restore
-// counters from /metrics (zeros when unreachable — deltas then read 0).
-func scrapeQosCounters(client *http.Client, base string) (degrades, restores int64) {
-	resp, err := client.Get(base + "/metrics")
-	if err != nil {
-		return 0, 0
-	}
-	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	for sc.Scan() {
-		name, val, found := strings.Cut(sc.Text(), " ")
-		if !found {
-			continue
-		}
-		n, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
-		if err != nil {
-			continue
-		}
-		switch name {
-		case "vcodecd_qos_degrades_total":
-			degrades = int64(n)
-		case "vcodecd_qos_restores_total":
-			restores = int64(n)
-		}
-	}
-	return degrades, restores
-}
-
 // waitQosLevelZero polls /healthz until the daemon reports qos_level 0.
 func waitQosLevelZero(client *http.Client, base string, timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
@@ -400,15 +354,6 @@ func waitQosLevelZero(client *http.Client, base string, timeout time.Duration) b
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-}
-
-// WriteJSON writes the result to path (pretty-printed, trailing newline).
-func (r *QosResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatQos renders the result as aligned text tables.

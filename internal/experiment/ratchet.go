@@ -92,15 +92,6 @@ func LoadRatchet(path string) (*Ratchet, error) {
 	return &r, nil
 }
 
-// WriteJSON writes the ratchet (pretty-printed, trailing newline).
-func (r *Ratchet) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
 // RatchetFromSpeed pins a new ratchet from a speed run: one baseline
 // per searcher, taken from the serial point (GOMAXPROCS=1, Workers=1,
 // pipeline off). An error means the result has no such point — the

@@ -32,7 +32,7 @@ func TestRatchetPinAndCheck(t *testing.T) {
 
 	// Round-trip through the JSON file bench-smoke would read.
 	path := filepath.Join(t.TempDir(), "BENCH_ratchet.json")
-	if err := r.WriteJSON(path); err != nil {
+	if err := WriteJSON(path, r); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := LoadRatchet(path)

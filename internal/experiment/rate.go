@@ -2,10 +2,8 @@ package experiment
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"time"
 
@@ -216,15 +214,6 @@ func RunRate(cfg RateConfig) (*RateResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// WriteJSON writes the result to path (pretty-printed, trailing newline).
-func (r *RateResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatRate renders the result as an aligned text table.

@@ -1,23 +1,17 @@
 package experiment
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/frame"
-	"repro/internal/obs"
 	"repro/internal/server"
 	"repro/internal/video"
 )
@@ -29,9 +23,7 @@ import (
 // across a sweep of session counts. The JSON artifact (BENCH_serve.json)
 // is the serving counterpart of BENCH_speed.json.
 type ServeConfig struct {
-	// URL is the daemon base URL, e.g. http://127.0.0.1:8323.
-	URL string
-	// URLs, when non-empty, replaces URL with multi-endpoint targets:
+	// URLs are the endpoint base URLs, e.g. http://127.0.0.1:8323;
 	// sessions round-robin across them (several gateways, or backends
 	// driven directly).
 	URLs []string
@@ -94,9 +86,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	if c.Searcher == "" {
 		c.Searcher = "acbm"
 	}
-	if len(c.URLs) == 0 && c.URL != "" {
-		c.URLs = []string{c.URL}
-	}
 	if c.RetryMax <= 0 {
 		c.RetryMax = 4
 	}
@@ -152,46 +141,14 @@ type ServeResult struct {
 	Points    []ServePoint `json:"points"`
 }
 
-// sessionSample is one client's observations.
-type sessionSample struct {
-	firstPacket time.Duration
-	frameGaps   []time.Duration
-	wall        time.Duration // request sent → stream drained
-	frames      int
-	bytes       int64
-	retries503  int
-	qosLevel    int      // final QoS level (trailer)
-	qosChanges  int      // mid-stream level transitions (trailer)
-	traceID     string   // X-Vcodec-Trace trailer — flight-recorder key
-	backend     string   // X-Vcodec-Backend trailer (gateway runs)
-	attempts    int      // X-Vcodec-Attempts trailer (gateway runs)
-	packets     [][]byte // retained only for the verified session
-	err         error
-}
-
-// RunServe sweeps the configured session counts against the daemon.
+// RunServe sweeps the configured session counts against the daemon. It
+// fails on any session that does not complete.
 func RunServe(cfg ServeConfig) (*ServeResult, error) {
 	cfg = cfg.withDefaults()
-	frames := video.Generate(cfg.Profile, cfg.Size, cfg.Frames, cfg.Seed)
-	var body bytes.Buffer
-	if err := frame.WriteY4M(&body, frames, 30, 1); err != nil {
+	frames, upload, err := renderClip(cfg.Profile, cfg.Size, cfg.Frames, cfg.Seed)
+	if err != nil {
 		return nil, err
 	}
-	upload := body.Bytes()
-	query := fmt.Sprintf("/encode?qp=%d&me=%s&entropy=%s", cfg.Qp, cfg.Searcher, cfg.Entropy)
-	if cfg.Kbps > 0 {
-		// Fixed-point formatting: %g's exponent form ("1e+06") would have
-		// its '+' decoded as a space in the query string.
-		query += "&kbps=" + strconv.FormatFloat(cfg.Kbps, 'f', -1, 64)
-	}
-	if cfg.QosPin != "" {
-		query += "&qoslevel=" + cfg.QosPin
-	}
-	urls := make([]string, len(cfg.URLs))
-	for i, base := range cfg.URLs {
-		urls[i] = base + query
-	}
-
 	var offline [][]byte
 	if cfg.Verify {
 		scfg, err := offlineConfig(cfg)
@@ -216,8 +173,8 @@ func RunServe(cfg ServeConfig) (*ServeResult, error) {
 	}
 	client := &http.Client{} // no timeout: sessions are long-lived streams
 	for _, n := range cfg.Sessions {
-		pt, err := runServePoint(client, urls, upload, n, cfg, offline)
-		if err != nil {
+		pt, b := runServePoint(client, cfg.URLs, upload, n, cfg, offline)
+		if err := b.requireCompleted(); err != nil {
 			return nil, fmt.Errorf("sessions=%d: %w", n, err)
 		}
 		res.Points = append(res.Points, *pt)
@@ -230,13 +187,11 @@ func RunServe(cfg ServeConfig) (*ServeResult, error) {
 // is the codec's own guarantee).
 func offlineConfig(cfg ServeConfig) (codec.Config, error) {
 	scfg := codec.Config{Qp: cfg.Qp, FPS: 30, Workers: 1, TargetKbps: cfg.Kbps}
-	switch cfg.Entropy {
-	case "", "expgolomb", "eg":
-	case "arith", "arithmetic", "sac":
-		scfg.Entropy = codec.EntropyArith
-	default:
-		return scfg, fmt.Errorf("unknown entropy %q", cfg.Entropy)
+	mode, err := codec.ParseEntropy(cfg.Entropy)
+	if err != nil {
+		return scfg, err
 	}
+	scfg.Entropy = mode
 	s, err := core.SearcherByName(cfg.Searcher)
 	if err != nil {
 		return scfg, err
@@ -254,204 +209,83 @@ func offlineConfig(cfg ServeConfig) (codec.Config, error) {
 	return scfg, nil
 }
 
-// sessionQuery appends session i's serving-layer parameters: its
-// priority tier (under "mixed", odd sessions run batch) and, for the
-// verified session of an adaptive run, the level-0 pin that keeps its
-// bytes offline-comparable while the controller degrades the rest.
-func sessionQuery(base string, i int, verify bool, cfg ServeConfig) string {
-	switch cfg.Priority {
-	case "", "live":
-	case "batch":
-		base += "&priority=batch"
-	case "mixed":
-		if i%2 == 1 {
-			base += "&priority=batch"
-		}
+// retries is the 503 re-submission budget of each session.
+func (c ServeConfig) retries() int {
+	if c.Retry503 {
+		return c.RetryMax
 	}
-	if verify && cfg.QosPin == "" {
-		base += "&qoslevel=0"
-	}
-	return base
+	return 0
 }
 
-func runServePoint(client *http.Client, urls []string, upload []byte, n int, cfg ServeConfig, offline [][]byte) (*ServePoint, error) {
-	samples := make([]sessionSample, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			verify := cfg.Verify && i == 0
-			samples[i] = runSession(client, sessionQuery(urls[i%len(urls)], i, verify, cfg), upload, verify, cfg)
-		}(i)
+// sessionURL is session i's /encode URL on base: the clip's coding
+// parameters plus the serving-layer ones — its priority tier (under
+// "mixed", odd sessions run batch) and, for the verified session of an
+// adaptive run, the level-0 pin that keeps its bytes offline-comparable
+// while the controller degrades the rest.
+func sessionURL(base string, i int, verify bool, cfg ServeConfig) string {
+	u := fmt.Sprintf("%s/encode?qp=%d&me=%s&entropy=%s", base, cfg.Qp, cfg.Searcher, cfg.Entropy)
+	if cfg.Kbps > 0 {
+		// Fixed-point formatting: %g's exponent form ("1e+06") would have
+		// its '+' decoded as a space in the query string.
+		u += "&kbps=" + strconv.FormatFloat(cfg.Kbps, 'f', -1, 64)
 	}
-	wg.Wait()
-	wall := time.Since(start)
+	switch {
+	case cfg.QosPin != "":
+		u += "&qoslevel=" + cfg.QosPin
+	case verify:
+		u += "&qoslevel=0"
+	}
+	if cfg.Priority == "batch" || cfg.Priority == "mixed" && i%2 == 1 {
+		u += "&priority=batch"
+	}
+	return u
+}
+
+// runServePoint runs one burst of n sessions round-robin across bases
+// and aggregates it; with an offline reference, session 0 is
+// byte-verified against it. The burst is returned for the caller's
+// pass/fail policy.
+func runServePoint(client *http.Client, bases []string, upload []byte, n int, cfg ServeConfig, offline [][]byte) (*ServePoint, *burst) {
+	b := runBurst(client, n, func(i int) session {
+		s := session{upload: upload, frames: cfg.Frames, retries: cfg.retries()}
+		if i == 0 {
+			s.ref = offline
+		}
+		s.url = sessionURL(bases[i%len(bases)], i, s.ref != nil, cfg)
+		return s
+	})
 
 	pt := &ServePoint{
 		Sessions:         n,
 		FramesPerSession: cfg.Frames,
-		WallSeconds:      wall.Seconds(),
+		WallSeconds:      b.wall.Seconds(),
+		QosFinalLevels:   make([]int, server.MaxQosLevel+1),
+		Verified:         offline != nil && b.samples[0].outcome == completed,
 	}
-	var firsts, gaps []time.Duration
-	levels := make([]int, server.MaxQosLevel+1)
-	for i := range samples {
-		s := &samples[i]
+	for i := range b.samples {
+		s := &b.samples[i]
 		pt.Retries503 += s.retries503
-		if s.err != nil {
+		if s.outcome != completed {
 			pt.Errors++
 			continue
 		}
 		pt.TotalFrames += s.frames
 		pt.BytesOut += s.bytes
 		if s.qosLevel >= 0 && s.qosLevel <= server.MaxQosLevel {
-			levels[s.qosLevel]++
+			pt.QosFinalLevels[s.qosLevel]++
 		}
 		pt.QosTransitions += s.qosChanges
-		firsts = append(firsts, s.firstPacket)
-		gaps = append(gaps, s.frameGaps...)
 	}
-	pt.QosFinalLevels = levels
-	if wall > 0 {
-		pt.FramesPerSec = float64(pt.TotalFrames) / wall.Seconds()
+	if b.wall > 0 {
+		pt.FramesPerSec = float64(pt.TotalFrames) / b.wall.Seconds()
 	}
-	// The tail: name the slowest session and pull its timeline back from
-	// the flight recorder before later sessions push it out of the
-	// completed ring.
-	worst := -1
-	for i := range samples {
-		if samples[i].err != nil || samples[i].traceID == "" {
-			continue
-		}
-		if worst < 0 || samples[i].wall > samples[worst].wall {
-			worst = i
-		}
-	}
-	if worst >= 0 {
-		s := &samples[worst]
-		w := &WorstSession{
-			TraceID:       s.traceID,
-			Backend:       s.backend,
-			Attempts:      s.attempts,
-			WallMs:        float64(s.wall.Nanoseconds()) / 1e6,
-			FirstPacketMs: float64(s.firstPacket.Nanoseconds()) / 1e6,
-			GapP99Ms:      quantileMs(s.frameGaps, 0.99),
-		}
-		bases := make([]string, len(urls))
-		for i, u := range urls {
-			bases[i] = debugBase(u)
-		}
-		w.Timeline, w.DroppedFrames = fetchTimeline(client, bases, s.traceID)
-		pt.Worst = w
-	}
+	firsts, gaps := b.latencies()
 	pt.FirstPacketMsP50 = quantileMs(firsts, 0.50)
 	pt.FirstPacketMsP99 = quantileMs(firsts, 0.99)
 	pt.FrameMsP50 = quantileMs(gaps, 0.50)
 	pt.FrameMsP99 = quantileMs(gaps, 0.99)
-	if pt.Errors > 0 {
-		var firstErr error
-		for i := range samples {
-			if samples[i].err != nil {
-				firstErr = samples[i].err
-				break
-			}
-		}
-		return nil, fmt.Errorf("%d/%d sessions failed: %w", pt.Errors, n, firstErr)
-	}
-	if offline != nil {
-		if len(samples[0].packets) != len(offline) {
-			return nil, fmt.Errorf("verify: %d packets, offline %d", len(samples[0].packets), len(offline))
-		}
-		for i := range offline {
-			if !bytes.Equal(samples[0].packets[i], offline[i]) {
-				return nil, fmt.Errorf("verify: packet %d differs from offline encoder", i)
-			}
-		}
-		pt.Verified = true
-	}
-	return pt, nil
-}
-
-// runSession is one load-generating client: upload the clip, stream the
-// packets back, timestamp each arrival. With cfg.Retry503 it cooperates
-// with admission control, sleeping a 503's advertised Retry-After before
-// re-submitting.
-func runSession(client *http.Client, url string, upload []byte, keep bool, cfg ServeConfig) sessionSample {
-	var s sessionSample
-	var resp *http.Response
-	begin := time.Now()
-	for attempt := 0; ; attempt++ {
-		var err error
-		resp, err = client.Post(url, "video/x-yuv4mpeg", bytes.NewReader(upload))
-		if err != nil {
-			s.err = err
-			return s
-		}
-		if resp.StatusCode == http.StatusServiceUnavailable && cfg.Retry503 && attempt < cfg.RetryMax {
-			delay := 200 * time.Millisecond
-			if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && ra > 0 {
-				delay = time.Duration(ra) * time.Second
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			s.retries503++
-			time.Sleep(delay)
-			begin = time.Now() // startup latency is per accepted submission
-			continue
-		}
-		break
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		s.err = fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
-		return s
-	}
-	pr := codec.NewPacketReader(resp.Body)
-	var last time.Time
-	for {
-		idx, data, err := pr.ReadPacket()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			s.err = err
-			return s
-		}
-		now := time.Now()
-		s.bytes += int64(len(data))
-		if keep {
-			s.packets = append(s.packets, data)
-		}
-		if idx == 0 {
-			continue // header packet: startup is measured to the first frame
-		}
-		if s.frames == 0 {
-			s.firstPacket = now.Sub(begin)
-		} else {
-			s.frameGaps = append(s.frameGaps, now.Sub(last))
-		}
-		last = now
-		s.frames++
-	}
-	s.wall = time.Since(begin)
-	s.qosLevel, _ = strconv.Atoi(resp.Trailer.Get("X-Vcodec-Qos-Level"))
-	s.qosChanges, _ = strconv.Atoi(resp.Trailer.Get("X-Vcodec-Qos-Transitions"))
-	s.traceID = resp.Trailer.Get(obs.TraceIDHeader)
-	s.backend = resp.Trailer.Get("X-Vcodec-Backend")
-	s.attempts, _ = strconv.Atoi(resp.Trailer.Get("X-Vcodec-Attempts"))
-	if errT := resp.Trailer.Get("X-Vcodec-Error"); errT != "" {
-		s.err = fmt.Errorf("server: %s", errT)
-	} else if s.frames == 0 {
-		s.err = fmt.Errorf("no frame packets received")
-	} else if s.frames != cfg.Frames {
-		// Graceful degradation must never shorten a stream: a session that
-		// ends cleanly with fewer frames than it uploaded is a truncation,
-		// the contract violation the QoS design exists to avoid.
-		s.err = fmt.Errorf("truncated: %d/%d frames", s.frames, cfg.Frames)
-	}
-	return s
+	pt.Worst = b.worst(client, bases)
+	return pt, b
 }
 
 // quantileMs returns the q-quantile of the samples in milliseconds
@@ -470,15 +304,6 @@ func quantileMs(d []time.Duration, q float64) float64 {
 		i = len(sorted) - 1
 	}
 	return float64(sorted[i].Nanoseconds()) / 1e6
-}
-
-// WriteJSON writes the result to path (pretty-printed, trailing newline).
-func (r *ServeResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // FormatServe renders the result as an aligned text table.

@@ -24,7 +24,7 @@ func TestRunServeWorstSession(t *testing.T) {
 	}()
 
 	res, err := RunServe(ServeConfig{
-		URL:      ts.URL,
+		URLs:     []string{ts.URL},
 		Sessions: []int{2},
 		Frames:   4,
 		Size:     frame.SQCIF,
@@ -62,5 +62,62 @@ func TestRunServeWorstSession(t *testing.T) {
 	}
 	if !strings.Contains(report, "frame   3") {
 		t.Errorf("report does not dump the per-frame timeline:\n%s", report)
+	}
+}
+
+// TestRunClusterScenarios runs the chaos benchmark self-hosted through a
+// fault-free and a backend-crash scenario. RunCluster itself fails on any
+// truncated session; on top, every session must be accounted for and the
+// worst session must carry the frame gaps the shared client records.
+func TestRunClusterScenarios(t *testing.T) {
+	res, err := RunCluster(ClusterConfig{
+		Scenarios: []string{"baseline", "backend-crash"},
+		Sessions:  4,
+		Frames:    6,
+		Size:      frame.SQCIF,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Points) != 2 {
+		t.Fatalf("%d points, want 2", len(res.Points))
+	}
+	if p := res.Points[0]; p.Completed != p.Sessions {
+		t.Errorf("baseline: %d/%d sessions completed", p.Completed, p.Sessions)
+	}
+	for _, p := range res.Points {
+		if p.Truncated != 0 || p.Completed+p.FailedExplicit != p.Sessions {
+			t.Errorf("%s: %d completed + %d failed + %d truncated of %d sessions",
+				p.Scenario, p.Completed, p.FailedExplicit, p.Truncated, p.Sessions)
+		}
+		if p.Worst == nil {
+			t.Errorf("%s: no worst session", p.Scenario)
+		} else if p.Worst.GapP99Ms <= 0 {
+			t.Errorf("%s: worst session gap p99 %v ms over 6 frames", p.Scenario, p.Worst.GapP99Ms)
+		}
+	}
+}
+
+// TestRunQosPinnedLevels runs the QoS benchmark in-process at a tiny
+// scale: every degradation level must byte-verify through its pinned
+// session, and the ramp point must neither truncate nor stay degraded.
+func TestRunQosPinnedLevels(t *testing.T) {
+	res, err := RunQos(QosConfig{Sessions: []int{2}, Frames: 6, Size: frame.SQCIF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Levels) != server.MaxQosLevel+1 {
+		t.Fatalf("%d levels, want %d", len(res.Levels), server.MaxQosLevel+1)
+	}
+	for _, l := range res.Levels {
+		if !l.PinnedVerified {
+			t.Errorf("level %d: pinned session not verified", l.Level)
+		}
+	}
+	if len(res.Points) != 1 {
+		t.Fatalf("%d points, want 1", len(res.Points))
+	}
+	if p := res.Points[0]; p.Truncated != 0 || p.TotalFrames != 12 || !p.RestoredToZero {
+		t.Errorf("ramp point: %d truncated, %d frames, restored %v", p.Truncated, p.TotalFrames, p.RestoredToZero)
 	}
 }

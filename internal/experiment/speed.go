@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"time"
 
@@ -244,15 +242,6 @@ func (c *phaseClock) FrameAnalyzed(_ int, wall, _, _ time.Duration, _ bool, _ in
 }
 
 func (c *phaseClock) FrameWritten(_ int, wall time.Duration, _ int) { c.entropy += wall }
-
-// WriteJSON writes the result to path (pretty-printed, trailing newline).
-func (r *SpeedResult) WriteJSON(path string) error {
-	data, err := json.MarshalIndent(r, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
 
 // FormatSpeed renders the result as the aligned text table acbmbench
 // prints alongside (or instead of) the JSON artifact.

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 
 	"repro/internal/obs"
 )
@@ -57,15 +56,6 @@ func fetchTimeline(client *http.Client, bases []string, id string) ([]obs.FrameE
 		return rec.Events, rec.DroppedFrames
 	}
 	return nil, 0
-}
-
-// debugBase strips the /encode query suffix off a session URL, leaving
-// the endpoint base the debug handlers live on.
-func debugBase(sessionURL string) string {
-	if i := strings.Index(sessionURL, "/encode"); i >= 0 {
-		return sessionURL[:i]
-	}
-	return sessionURL
 }
 
 // formatWorst renders the worst session as an indented block under its

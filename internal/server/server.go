@@ -641,13 +641,8 @@ func parseSessionConfig(q url.Values) (codec.Config, sessionOpts, error) {
 	if _, err := opts.newSearcher(); err != nil {
 		return cfg, opts, err
 	}
-	switch strings.ToLower(q.Get("entropy")) {
-	case "", "expgolomb", "eg":
-		cfg.Entropy = codec.EntropyExpGolomb
-	case "arith", "arithmetic", "sac":
-		cfg.Entropy = codec.EntropyArith
-	default:
-		return cfg, opts, fmt.Errorf("unknown entropy backend %q", q.Get("entropy"))
+	if cfg.Entropy, err = codec.ParseEntropy(q.Get("entropy")); err != nil {
+		return cfg, opts, err
 	}
 	if v := q.Get("ladder"); v != "" {
 		specs, e := codec.ParseLadderSpec(v)
