@@ -5,13 +5,14 @@
 #   make test         — full test suite, plus the codec/server packages
 #                       under the race detector at GOMAXPROCS 1, 2 and 4
 #                       (certifies the wavefront encoder, the lazily
-#                       filled reference-view tiles its workers claim,
-#                       and the multi-session serving layer on
-#                       multi-core hosts)
+#                       filled row-sum tiles its workers claim, and
+#                       the multi-session serving layer on multi-core
+#                       hosts)
 #   make fuzz-smoke   — a short fixed-time run of the fuzz targets on
 #                       untrusted input (the /encode query parser, the
-#                       ladder spec parser, the Y4M upload reader and
-#                       both packet-stream readers)
+#                       ladder spec parser, the Y4M upload reader, both
+#                       packet-stream readers and the half-pel block
+#                       predictor the decoder feeds stream vectors to)
 #   make bench-smoke  — 1-iteration pass over every benchmark so bench
 #                       code cannot rot, the SAD kernel dispatch sanity
 #                       check (logs the detected ISA, probes every tier
@@ -77,6 +78,7 @@ test: build
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSessionConfig -fuzztime 10s ./internal/server/
 	$(GO) test -run '^$$' -fuzz FuzzY4MReader -fuzztime 10s ./internal/frame/
+	$(GO) test -run '^$$' -fuzz '^FuzzHalfPelBlock$$' -fuzztime 10s ./internal/frame/
 	$(GO) test -run '^$$' -fuzz '^FuzzPacketReader$$' -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzLadderPacketReader$$' -fuzztime 10s ./internal/codec/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseLadderSpec$$' -fuzztime 10s ./internal/codec/

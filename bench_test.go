@@ -188,12 +188,15 @@ func BenchmarkSAD16x16(b *testing.B) {
 	}
 }
 
-func BenchmarkSADHalfPel16x16(b *testing.B) {
-	cur, _, ip := benchPlanes()
+// BenchmarkSADHalfPelPlane16x16 measures one half-pel candidate probe,
+// interpolation fused into the difference kernel, cycling the horizontal,
+// full-pel and horizontal-again anchors of the searchers' refinement.
+func BenchmarkSADHalfPelPlane16x16(b *testing.B) {
+	cur, ref, _ := benchPlanes()
 	b.SetBytes(256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		metrics.SADHalfPel(cur, 80, 64, ip, 155+i%3, 131, 16, 16)
+		metrics.SADHalfPelPlane(cur, 80, 64, ref, 155+i%3, 131, 16, 16)
 	}
 }
 
@@ -206,11 +209,18 @@ func BenchmarkIntraSAD16x16(b *testing.B) {
 	}
 }
 
-func BenchmarkInterpolateQCIF(b *testing.B) {
-	_, ref, _ := benchPlanes()
+// BenchmarkHalfPelBlock measures one 8×8 half-pel motion-compensated
+// prediction (the codec's block shape), cycling the horizontal, vertical
+// and diagonal phases over anchors across the reference.
+func BenchmarkHalfPelBlock(b *testing.B) {
+	_, ref, ip := benchPlanes()
+	cols, rows := ref.W/8-1, ref.H/8-1
+	var dst [64]uint8
+	b.SetBytes(64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame.Interpolate(ref)
+		x, y, ph := 8*(i%cols), 8*(i/cols%rows), 1+i%3
+		ip.Block(dst[:], 2*x+ph&1, 2*y+ph>>1, 8, 8)
 	}
 }
 
@@ -346,25 +356,6 @@ func BenchmarkEncodeStream(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(frames))*float64(b.N)/b.Elapsed().Seconds(), "frames/s")
-}
-
-// BenchmarkInterpolateLazyFirstTouch measures the lazy substrate's cost
-// for a typical compensation pattern: one half-pel block fetched per
-// macroblock position (the worst case fills every tile once; the common
-// case touches far fewer).
-func BenchmarkInterpolateLazyFirstTouch(b *testing.B) {
-	_, ref, _ := benchPlanes()
-	dst := make([]uint8, 16*16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ip := frame.InterpolateLazy(ref)
-		for y := 0; y+16 <= ref.H; y += 16 {
-			for x := 0; x+16 <= ref.W; x += 16 {
-				ip.Block(dst, 2*x+1, 2*y+1, 16, 16)
-			}
-		}
-		ip.Release()
-	}
 }
 
 // BenchmarkSADCapped_Spiral measures the full search with the
@@ -516,15 +507,6 @@ func BenchmarkAblation_SensorNoiseMissAmerica(b *testing.B) {
 		}
 		b.ReportMetric(stats.AvgSearchPointsPerMB(), "positions/MB")
 		b.ReportMetric(100*acbm.Stats().FSBMRate(), "critical%")
-	}
-}
-
-func BenchmarkSATD16x16(b *testing.B) {
-	cur, ref, _ := benchPlanes()
-	b.SetBytes(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		metrics.SATD(cur, 80, 64, ref, 77+i%5, 66, 16, 16)
 	}
 }
 

@@ -25,18 +25,17 @@
 //     every position a legal candidate or a chroma-derived vector can
 //     reach is backed by real edge-replicated memory and no hot loop
 //     branches on the frame border.
-//   - The half-pel view (frame.Interpolated) is phase-split and lazily
-//     materialised: the integer phase is the source plane itself, and the
-//     b/c/d half-pel phases live in contiguous per-phase planes computed
-//     tile by tile (frame.TileSize² samples) on first touch, guarded by
-//     an atomic per-tile claim state. Wavefront workers first-touching
-//     the same tile are race-clean — one claims and fills (the fill is
-//     idempotent: a pure function of the source), the rest spin until the
-//     fill is published; nothing may read a tile's samples except through
-//     the claiming protocol (At/Block/PhaseRect). Output bits cannot
-//     change because lazily computed samples are byte-equal to the eager
-//     grid (differential tests pin this) and SAD probes/compensation read
-//     the same values either way, in the same order.
+//   - The half-pel view (frame.Interpolated) stores no half-pel sample.
+//     Motion compensation asks it for one 8×8 block at a time
+//     (Interpolated.Block), and each block row is computed straight from
+//     one or two rows of the padded integer reference: a copy for
+//     full-pel anchors, a word-parallel rounding average for the
+//     horizontal and vertical phases, a 16-bit-lane four-way average for
+//     the diagonal. Anchors past the reference's replicated apron —
+//     reachable only through corrupt-stream vectors — fall back to a
+//     per-sample clamped rule, which is also the oracle the row path is
+//     differentially tested and fuzzed against (FuzzHalfPelBlock). Block
+//     writes nothing shared, so wavefront workers need no coordination.
 //   - internal/metrics runs the SAD family through a runtime-dispatched
 //     kernel table with four tiers: scalar (the differential-test
 //     reference), SWAR (8 pixels per uint64 load, split into 16-bit
@@ -58,15 +57,14 @@
 //     (SADHalfPelPlane, and the SADHalfPelRing batch that scores all 8
 //     neighbour phases in one pass) that apply the H.263 bilinear
 //     rounding inside the difference loop, directly against the integer
-//     reference plane: searcher refinement never materialises half-pel
-//     storage at all, so the tiles that do get filled are only those
-//     motion compensation actually lands on — and full-pel compensation
-//     (every skip block, most chroma vectors) copies plane rows without
-//     touching the half-pel substrate either.
-//   - Reconstruction frames, half-pel phase planes and their buffers
-//     recycle through size-bucketed pools (one bucket per exact
-//     dimensions × apron class), so concurrent vcodecd sessions at mixed
-//     resolutions stop thrashing each other's buffers. A reference frame
+//     reference plane: searcher refinement never stores a half-pel
+//     sample, the only half-pel samples computed are those of the
+//     blocks motion compensation predicts, and full-pel compensation
+//     (every skip block, most chroma vectors) copies plane rows.
+//   - Reconstruction frames and the views' row-sum buffers recycle
+//     through size-bucketed pools (one bucket per exact dimensions ×
+//     apron class), so concurrent vcodecd sessions at mixed resolutions
+//     stop thrashing each other's buffers. A reference frame
 //     is retired to its pool at the frame hand-off — the first point
 //     where both of its readers (the next frame's analysis and the
 //     previous frame's PSNR statistics) are provably done; the steady
@@ -93,8 +91,9 @@
 //     `acbmbench -experiment speed`) counts the candidates whose SAD
 //     kernel ran — on Foreman CIF Qp 16 about 38% of them. The row sums are
 //     a lazily filled phase of the reference view frame.Interpolated
-//     (RowSums): tiles fill on first touch under the half-pel phases'
-//     claim protocol and the phase is pooled with the view, so intra
+//     (RowSums): frame.TileSize² tiles fill on first touch under an
+//     atomic per-tile claim (one worker fills, the rest wait for the
+//     published fill) and the phase is pooled with the view, so intra
 //     frames, the decoder and rungs that never full-search never pay for
 //     it. The Fig. 4 study (Input.Collect) and PixelDecimation run the
 //     same window and order unpruned, scoring every candidate exactly.
@@ -148,7 +147,7 @@
 // BENCH_speed.json`) records the encoder's speed trajectory —
 // ns/frame, fps, the analysis/entropy phase split, points/block
 // (considered) next to evaluated/block, allocs/frame and the half-pel
-// bytes actually materialised per frame — across the full GOMAXPROCS ×
+// samples computed per frame for predicted blocks — across the full GOMAXPROCS ×
 // workers × pipeline matrix, per searcher.
 // Each point carries the GOMAXPROCS and kernel ISA it ran under, and the
 // artifact embeds the host (CPU model, core count, registered kernel

@@ -35,7 +35,7 @@ func storeBlock(p *frame.Plane, x, y int, b *dct.Block) {
 // anchored at (x, y) with vector mv (half-pel units). Full-pel vectors
 // (both components even — which includes every skip block and most chroma
 // vectors) read the integer reference plane directly; true half-pel
-// vectors read one phase of the lazily interpolated view.
+// vectors are interpolated from the reference plane by the view's Block.
 func predBlock(b *dct.Block, ref *frame.Interpolated, x, y int, mv mvfield.MV) {
 	if mv.X&1 == 0 && mv.Y&1 == 0 {
 		src := ref.Src()
@@ -62,7 +62,7 @@ func predBlock(b *dct.Block, ref *frame.Interpolated, x, y int, mv mvfield.MV) {
 // is exactly its prediction and prediction samples are already 8-bit, so
 // this equals predBlock + reconInterBlock(coded=false) + storeBlock while
 // skipping both int32 conversions and the clamp. Full-pel vectors copy
-// plane rows directly, touching no half-pel state at all.
+// plane rows directly.
 func storePredBlock(p *frame.Plane, x, y int, ref *frame.Interpolated, mv mvfield.MV) {
 	if mv.X&1 == 0 && mv.Y&1 == 0 {
 		src := ref.Src()

@@ -172,7 +172,7 @@ func (d *Decoder) newRecon() *frame.Frame {
 }
 
 // refreshReference mirrors the encoder: deblock, replicate the plane
-// aprons, install the frame as the reference with a fresh lazy half-pel
+// aprons, install the frame as the reference with a fresh half-pel
 // view, and retire the previous reference to the frame pool (callers only
 // ever receive clones, so nothing references it).
 func (d *Decoder) refreshReference(recon *frame.Frame, qp int) {
@@ -185,9 +185,9 @@ func (d *Decoder) refreshReference(recon *frame.Frame, qp int) {
 	d.reconY.Release()
 	d.reconCb.Release()
 	d.reconCr.Release()
-	d.reconY = frame.InterpolateLazy(recon.Y)
-	d.reconCb = frame.InterpolateLazy(recon.Cb)
-	d.reconCr = frame.InterpolateLazy(recon.Cr)
+	d.reconY = frame.Interpolate(recon.Y)
+	d.reconCb = frame.Interpolate(recon.Cb)
+	d.reconCr = frame.Interpolate(recon.Cr)
 	old.Release()
 }
 

@@ -149,8 +149,8 @@ func NewEncoder(cfg Config) *Encoder {
 
 // refAprons sizes the reconstruction-plane borders for a motion search
 // range: the luma apron covers the full range plus the half-pel margin,
-// the chroma apron the halved range — both at least the minimum the
-// half-pel interpolation needs to fill its own border without clamping.
+// the chroma apron the halved range — both at least the minimum half-pel
+// block prediction needs to serve apron anchors without clamping.
 func refAprons(searchRange int) (luma, chroma int) {
 	luma = searchRange + 1
 	if luma < frame.MinInterpApron {
@@ -515,10 +515,10 @@ func writeCoeffs(sw symWriter, b *dct.Block) {
 // refreshReference installs recon as the prediction reference: the
 // in-loop filter runs first, then the plane aprons are replicated (the
 // once-per-frame moment border memory is refreshed — analysis of the next
-// frame may read the apron freely), and the half-pel view is reset to
-// lazy: no half-pel sample is computed until refinement or compensation
-// actually lands on its tile. The previous frame's view returns to the
-// size-bucketed pool.
+// frame may read the apron freely), and a fresh half-pel view is drawn:
+// half-pel blocks are interpolated only when compensation predicts them,
+// and row sums fill only where the full search reads them. The previous
+// frame's view returns to the size-bucketed pool.
 func (e *Encoder) refreshReference(recon *frame.Frame) {
 	if e.cfg.Deblock {
 		deblockFrame(recon, e.curQp)
@@ -528,9 +528,9 @@ func (e *Encoder) refreshReference(recon *frame.Frame) {
 	e.reconY.Release()
 	e.reconCb.Release()
 	e.reconCr.Release()
-	e.reconY = frame.InterpolateLazy(recon.Y)
-	e.reconCb = frame.InterpolateLazy(recon.Cb)
-	e.reconCr = frame.InterpolateLazy(recon.Cr)
+	e.reconY = frame.Interpolate(recon.Y)
+	e.reconCb = frame.Interpolate(recon.Cb)
+	e.reconCr = frame.Interpolate(recon.Cr)
 }
 
 // analyzeIntraMB transforms, quantises and reconstructs the six intra

@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/codec"
@@ -270,48 +271,61 @@ func runScenario(client *http.Client, name string, urls []string, upload []byte,
 		// 3x the configured burst guarantees 503s and gateway retries.
 		sessions = cfg.Sessions * 3
 	}
-	var fault func()
+	// An outage lands mid-burst, as the faulted backend starts answering
+	// its first session: however short the burst, that backend is serving
+	// it then. The outage lasts 1.5 s or until the burst drains, whichever
+	// comes first, so it cannot leak into the next scenario.
+	var proxy *chaos.Proxy
+	burstDone := make(chan struct{})
+	var outages sync.WaitGroup
 	if self != nil {
-		proxy := self.fleet.Proxies[0] // chaos always hits the first backend
+		proxy = self.fleet.Proxies[0] // chaos always hits the first backend
+		restart := func() {
+			outages.Add(1)
+			go func() {
+				defer outages.Done()
+				t := time.NewTimer(1500 * time.Millisecond)
+				defer t.Stop()
+				select {
+				case <-t.C:
+				case <-burstDone:
+				}
+				proxy.SetPlan(chaos.Plan{})
+			}()
+		}
 		switch name {
 		case "degraded-latency":
 			proxy.SetPlan(chaos.Plan{Latency: 15 * time.Millisecond})
 		case "backend-crash":
-			fault = func() {
-				// The backend "process" dies: established connections reset,
-				// new ones are refused until the restart 1.5s later.
-				proxy.SetPlan(chaos.Plan{RefuseNew: true})
-				proxy.KillActive()
-				time.AfterFunc(1500*time.Millisecond, func() { proxy.SetPlan(chaos.Plan{}) })
-			}
+			// The backend "process" dies: established connections reset,
+			// new ones are refused until the restart.
+			proxy.ArmOnSession(chaos.Plan{RefuseNew: true}, true, restart)
 		case "partition":
-			fault = func() {
-				// Sockets stay open, bytes stop: the gateway's idle watchdog
-				// has to fail committed streams; uncommitted ones fail over.
-				proxy.SetPlan(chaos.Plan{Stall: true})
-				time.AfterFunc(1500*time.Millisecond, func() { proxy.SetPlan(chaos.Plan{}) })
-			}
+			// Sockets stay open, bytes stop. The stall catches sessions
+			// before their first byte, and the gateway's first-packet
+			// timeout outlasts it, so they must wait it out and complete
+			// byte-identical; a committed stream it caught would fail via
+			// the idle watchdog.
+			proxy.ArmOnSession(chaos.Plan{Stall: true}, false, restart)
 		}
-		defer proxy.SetPlan(chaos.Plan{})
 	}
 
 	scfg := ServeConfig{Qp: cfg.Qp, Searcher: cfg.Searcher, Entropy: cfg.Entropy, Retry503: cfg.Retry503, RetryMax: cfg.RetryMax}
 	counters := []string{"gateway_retries_total", "gateway_backend_breaker_trips_total"}
 	before := scrapeCounters(client, urls, counters...)
-	if fault != nil {
-		// Land the fault mid-burst: after the first sessions have committed
-		// their streams but well before the burst drains.
-		time.AfterFunc(150*time.Millisecond, fault)
-	}
 	// Every session byte-verifies: under a fault each one must complete
 	// identical to the offline encoder or fail loudly.
 	b := runBurst(client, sessions, func(i int) session {
 		url := sessionURL(urls[i%len(urls)], i, false, scfg)
 		return session{url: url, upload: upload, frames: cfg.Frames, ref: offline, retries: scfg.retries()}
 	})
-	if self != nil {
-		// Let breakers close and health polls settle before the next
-		// scenario starts from a clean fleet.
+	if proxy != nil {
+		// Lift (or disarm) the fault, stop the restart timer, then let
+		// breakers close and health polls settle before the next scenario
+		// starts from a clean fleet.
+		proxy.SetPlan(chaos.Plan{})
+		close(burstDone)
+		outages.Wait()
 		time.Sleep(300 * time.Millisecond)
 	}
 	after := scrapeCounters(client, urls, counters...)

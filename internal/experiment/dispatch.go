@@ -83,7 +83,7 @@ func probeKernelTiers(b *strings.Builder) []string {
 	// bound grid read from ref's row-sum phase.
 	win := metrics.Window{U0: -8, V0: -8, U1: 8, V1: 8}
 	gs := metrics.GridStride(win)
-	refI := frame.InterpolateLazy(ref)
+	refI := frame.Interpolate(ref)
 	defer refI.Release()
 	sums, stride := refI.RowSums(16+win.U0, 8+win.V0, 16+win.U0+gs-1, 8+win.V1+15)
 	grid := make([]uint16, win.Rows()*gs)

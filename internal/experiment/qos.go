@@ -126,9 +126,6 @@ type QosPoint struct {
 	// point (scraped from /metrics).
 	Degrades int64 `json:"degrades"`
 	Restores int64 `json:"restores"`
-	// Truncated counts contract violations: sessions that ended cleanly
-	// with fewer frames than uploaded. RunQos fails the benchmark on any.
-	Truncated int `json:"truncated"`
 	// RestoredToZero records that the controller walked back to level 0
 	// after the point's sessions drained — degradation is not sticky.
 	RestoredToZero bool `json:"restored_to_zero"`
@@ -243,7 +240,6 @@ func RunQos(cfg QosConfig) (*QosResult, error) {
 			FrameMsP99:       pt.FrameMsP99,
 			QosFinalLevels:   pt.QosFinalLevels,
 			QosTransitions:   pt.QosTransitions,
-			Truncated:        b.count(truncated),
 			Worst:            pt.Worst,
 		}
 		if err := b.requireCompleted(); err != nil {

@@ -110,7 +110,6 @@ type ServePoint struct {
 	// per-frame latency), across all sessions' samples.
 	FrameMsP50 float64 `json:"frame_ms_p50"`
 	FrameMsP99 float64 `json:"frame_ms_p99"`
-	Errors     int     `json:"errors"`
 	// Retries503 counts client re-submissions after a 503, honoring its
 	// Retry-After (only with ServeConfig.Retry503).
 	Retries503 int  `json:"retries_503,omitempty"`
@@ -266,7 +265,6 @@ func runServePoint(client *http.Client, bases []string, upload []byte, n int, cf
 		s := &b.samples[i]
 		pt.Retries503 += s.retries503
 		if s.outcome != completed {
-			pt.Errors++
 			continue
 		}
 		pt.TotalFrames += s.frames

@@ -67,8 +67,10 @@ func TestRunServeWorstSession(t *testing.T) {
 
 // TestRunClusterScenarios runs the chaos benchmark self-hosted through a
 // fault-free and a backend-crash scenario. RunCluster itself fails on any
-// truncated session; on top, every session must be accounted for and the
-// worst session must carry the frame gaps the shared client records.
+// truncated session; on top, every session must be accounted for, the
+// worst session must carry the frame gaps the shared client records, and
+// the crash must actually hit the burst: a short burst still sees at
+// least one retry or explicit failure.
 func TestRunClusterScenarios(t *testing.T) {
 	res, err := RunCluster(ClusterConfig{
 		Scenarios: []string{"baseline", "backend-crash"},
@@ -84,6 +86,10 @@ func TestRunClusterScenarios(t *testing.T) {
 	}
 	if p := res.Points[0]; p.Completed != p.Sessions {
 		t.Errorf("baseline: %d/%d sessions completed", p.Completed, p.Sessions)
+	}
+	if p := res.Points[1]; p.Retried+p.FailedExplicit == 0 && p.GatewayRetries == 0 {
+		t.Errorf("backend-crash: no retry and no failure (%d completed, %d gateway retries): the fault missed the burst",
+			p.Completed, p.GatewayRetries)
 	}
 	for _, p := range res.Points {
 		if p.Truncated != 0 || p.Completed+p.FailedExplicit != p.Sessions {
@@ -117,7 +123,9 @@ func TestRunQosPinnedLevels(t *testing.T) {
 	if len(res.Points) != 1 {
 		t.Fatalf("%d points, want 1", len(res.Points))
 	}
-	if p := res.Points[0]; p.Truncated != 0 || p.TotalFrames != 12 || !p.RestoredToZero {
-		t.Errorf("ramp point: %d truncated, %d frames, restored %v", p.Truncated, p.TotalFrames, p.RestoredToZero)
+	// RunQos errors on any truncated or failed session, so a report means
+	// every session completed; the frame total confirms it.
+	if p := res.Points[0]; p.TotalFrames != 12 || !p.RestoredToZero {
+		t.Errorf("ramp point: %d frames, restored %v", p.TotalFrames, p.RestoredToZero)
 	}
 }

@@ -108,11 +108,11 @@ type SpeedPoint struct {
 	// working-set relief for multi-session serving shows up here first.
 	AllocsPerFrame     float64 `json:"allocs_per_frame"`
 	AllocBytesPerFrame float64 `json:"alloc_bytes_per_frame"`
-	// InterpBytesPerFrame is the half-pel sample bytes actually
-	// materialised per frame by the lazy tiled interpolation — the
-	// bytes-touched metric. An eager full-grid build would pay
-	// 3×W×H + apron per reference frame regardless of where search and
-	// compensation land.
+	// InterpBytesPerFrame is the half-pel samples (one byte each)
+	// computed per frame for motion-compensated blocks — the
+	// interpolation work compensation really does. Search probes fuse
+	// the interpolation into their SAD kernels and store no sample, so
+	// they are not counted.
 	InterpBytesPerFrame float64 `json:"interp_bytes_per_frame"`
 	// Speedup is relative to this searcher's first measured point
 	// (workers=1, pipeline off in the default sweeps).

@@ -10,7 +10,7 @@ import (
 //
 // The encoder and decoder turn over large, identically sized buffers every
 // frame: reconstruction planes (one padded frame per encoded/decoded
-// frame) and the half-pel phase planes of the interpolated reference view.
+// frame) and the row sums of the interpolated reference view.
 // A single sync.Pool mixing every size would hand a QCIF-sized buffer to a
 // CIF request (forcing a reallocation) and vice versa — with concurrent
 // vcodecd sessions at mixed resolutions the sessions would thrash each
@@ -18,7 +18,7 @@ import (
 // and planes per (W, H, apron) class; the pools are safe for concurrent
 // use and never zero recycled memory (every consumer fully overwrites the
 // samples it reads: reconstruction planes are written macroblock by
-// macroblock, aprons are replicated at reference hand-off, and half-pel
+// macroblock, aprons are replicated at reference hand-off, and row-sum
 // tiles are guarded by their claim state).
 
 // bufPools holds one sync.Pool of []uint8 per exact capacity.
@@ -172,20 +172,20 @@ func (f *Frame) ReplicateAprons() {
 	f.Cr.ReplicateApron()
 }
 
-// Half-pel materialisation counters: how many tiles (and sample bytes) of
-// half-pel phase planes were actually computed. With the lazy tiled view
-// these track the working set the interpolation really touches — the
-// bytes-touched metric of BENCH_speed.json — instead of the full 3×W×H a
-// per-frame eager build would pay.
+// Half-pel prediction counters: how many half-pel blocks Interpolated.Block
+// computed and how many samples they held. Full-pel blocks are copies and
+// are not counted. The samples are the interpolation work motion
+// compensation really does — the interp_bytes_per_frame figure of
+// BENCH_speed.json and of the perfbench ledger.
 var (
-	interpTiles atomic.Uint64
-	interpBytes atomic.Uint64
+	interpBlocks  atomic.Uint64
+	interpSamples atomic.Uint64
 )
 
-// InterpFillStats returns the cumulative count of half-pel tiles
-// materialised and the sample bytes computed for them, across all
-// Interpolated views since process start. Deltas around an encode give
-// the per-sequence figure.
-func InterpFillStats() (tiles, bytes uint64) {
-	return interpTiles.Load(), interpBytes.Load()
+// InterpFillStats returns the cumulative count of half-pel blocks
+// predicted and of the samples computed for them (one byte each), across
+// all Interpolated views since process start. Deltas around an encode
+// give the per-sequence figure.
+func InterpFillStats() (blocks, samples uint64) {
+	return interpBlocks.Load(), interpSamples.Load()
 }

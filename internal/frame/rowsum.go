@@ -16,16 +16,16 @@ const RowSumWidth = 16
 // clipped search window without leaving the buffer.
 type rowSumPhase struct {
 	sums  []uint16
-	state []uint32 // one claim word per tile, as for the half-pel phases
+	state []uint32 // one claim word per tile (tileEmpty/tileFilling/tileReady)
 }
 
 // RowSums makes sure the row sums S(x, y) for x0 ≤ x ≤ x1, y0 ≤ y ≤ y1
 // are filled and returns the phase buffer with its stride: S(x, y) is
 // sums[y·stride+x]. Coordinates are clipped to the valid range, so a
 // caller may ask for the columns its vector loads over-read. The first
-// call allocates the phase; tiles fill on first touch under the same
-// race-clean claim protocol as the half-pel phases, so intra frames and
-// views no full search reads never pay for it. Returns nil for sources
+// call allocates the phase; tiles fill on first touch under a race-clean
+// claim protocol (claimTile), so intra frames and views no full search
+// reads never pay for it. Returns nil for sources
 // narrower than RowSumWidth.
 func (ip *Interpolated) RowSums(x0, y0, x1, y1 int) (sums []uint16, stride int) {
 	w, h := ip.W/2, ip.H/2
@@ -47,7 +47,7 @@ func (ip *Interpolated) RowSums(x0, y0, x1, y1 int) (sums []uint16, stride int) 
 }
 
 // rowSums returns the view's row-sum phase, allocating it on first use.
-// Pooled views keep it across recycling (InterpolateLazy clears its claim
+// Pooled views keep it across recycling (Interpolate clears its claim
 // words), so steady-state encodes allocate it once per pooled view.
 func (ip *Interpolated) rowSums() *rowSumPhase {
 	if rs := ip.rows.Load(); rs != nil {
@@ -65,8 +65,8 @@ func (ip *Interpolated) rowSums() *rowSumPhase {
 
 // fillRowSums computes the row sums of tile (tx, ty) with a sliding
 // window: one 16-sample sum per row, then one add and one subtract per
-// column. Like fillTile it is a pure function of the source plane, so a
-// concurrent waiter sees the same bytes whichever worker filled it.
+// column. It is a pure function of the source plane, so a concurrent
+// waiter sees the same bytes whichever worker filled it.
 func (ip *Interpolated) fillRowSums(rs *rowSumPhase, tx, ty int) {
 	w, h := ip.W/2, ip.H/2
 	x0, x1 := tx*TileSize, min(tx*TileSize+TileSize, w-RowSumWidth+1)

@@ -29,22 +29,21 @@ func checkRowSums(t *testing.T, ip *Interpolated, src *Plane, x0, y0, x1, y1 int
 }
 
 // TestRowSumsMatchDefinition covers tile-aligned and ragged sizes, tight
-// and padded sources, eager and lazy views, and requests that reach past
-// the valid columns (they are clipped, not filled).
+// and padded sources, and requests that reach past the valid columns
+// (they are clipped, not filled).
 func TestRowSumsMatchDefinition(t *testing.T) {
 	for _, tc := range []struct{ w, h, apron int }{
 		{16, 16, 0}, {48, 32, MinInterpApron}, {33, 17, 0}, {352, 288, 16}, {20, 5, 4},
 	} {
 		src := noisyPaddedPlane(tc.w, tc.h, tc.apron, int64(tc.w*7+tc.h))
-		ip := InterpolateLazy(src)
+		ip := Interpolate(src)
 		checkRowSums(t, ip, src, 0, 0, tc.w-RowSumWidth, tc.h-1)
 		if sums, _ := ip.RowSums(tc.w-RowSumWidth, 0, tc.w+40, tc.h+40); len(sums) != tc.w*tc.h {
 			t.Fatalf("%dx%d: phase holds %d sums, want %d", tc.w, tc.h, len(sums), tc.w*tc.h)
 		}
 		ip.Release()
-		checkRowSums(t, Interpolate(src), src, 0, 0, tc.w-RowSumWidth, tc.h-1)
 	}
-	if sums, _ := InterpolateLazy(NewPlane(15, 4)).RowSums(0, 0, 14, 3); sums != nil {
+	if sums, _ := Interpolate(NewPlane(15, 4)).RowSums(0, 0, 14, 3); sums != nil {
 		t.Fatal("a source narrower than RowSumWidth has no row sums")
 	}
 }
@@ -54,10 +53,10 @@ func TestRowSumsMatchDefinition(t *testing.T) {
 func TestRowSumsPooledReuse(t *testing.T) {
 	a := noisyPaddedPlane(64, 48, MinInterpApron, 1)
 	b := noisyPaddedPlane(64, 48, MinInterpApron, 2)
-	ip := InterpolateLazy(a)
+	ip := Interpolate(a)
 	checkRowSums(t, ip, a, 0, 0, 64-RowSumWidth, 47)
 	ip.Release()
-	ip = InterpolateLazy(b)
+	ip = Interpolate(b)
 	checkRowSums(t, ip, b, 0, 0, 64-RowSumWidth, 47)
 	ip.Release()
 }
@@ -70,7 +69,7 @@ func TestRowSumsPooledReuse(t *testing.T) {
 func TestRowSumsConcurrentFirstTouch(t *testing.T) {
 	src := noisyPaddedPlane(176, 144, 16, 5)
 	for round := 0; round < 4; round++ {
-		ip := InterpolateLazy(src)
+		ip := Interpolate(src)
 		const workers = 8
 		var wg sync.WaitGroup
 		errs := make(chan string, workers)

@@ -4,7 +4,8 @@
 // runtime, mid-connection — decides what the relay does to the traffic:
 // add latency, stall it, reset connections after a byte budget, refuse
 // new ones, or go dark entirely. KillActive cuts every established
-// connection at once, the mid-stream backend-crash case.
+// connection at once, the mid-stream backend-crash case, and ArmOnSession
+// times a fault to the moment the backend starts answering a session.
 //
 // The proxy operates below HTTP on purpose: the failures it produces are
 // the ones a real network or a crashed peer produces (RST, silence,
@@ -14,9 +15,11 @@
 package chaos
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -45,6 +48,7 @@ type Proxy struct {
 
 	mu    sync.Mutex
 	plan  Plan
+	armed *armedFault           // ArmOnSession's pending fault
 	conns map[net.Conn]struct{} // accepted sides, for KillActive
 	done  bool
 
@@ -71,11 +75,54 @@ func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 func (p *Proxy) URL() string { return "http://" + p.Addr() }
 
 // SetPlan swaps the fault plan; it applies to in-flight connections at
-// their next chunk boundary and to every connection accepted after.
+// their next chunk boundary and to every connection accepted after. It
+// also disarms a pending ArmOnSession fault.
 func (p *Proxy) SetPlan(plan Plan) {
 	p.mu.Lock()
 	p.plan = plan
+	p.armed = nil
 	p.mu.Unlock()
+}
+
+// armedFault is a fault waiting for the backend's next session response.
+type armedFault struct {
+	plan  Plan
+	kill  bool
+	fired func()
+}
+
+// ArmOnSession schedules a fault for the moment the backend starts
+// answering a session: the first backend→client bytes on a connection
+// whose last request was a POST (an /encode session, never a health or
+// metrics poll). The proxy then switches to plan — applied to those very
+// bytes, before they are forwarded — resets every established connection
+// when kill is set (the answering one included, so that session dies
+// before its first byte reaches the client), and calls fired, if non-nil.
+// The fault fires once.
+func (p *Proxy) ArmOnSession(plan Plan, kill bool, fired func()) {
+	p.mu.Lock()
+	p.armed = &armedFault{plan: plan, kill: kill, fired: fired}
+	p.mu.Unlock()
+}
+
+// fire triggers the armed fault, if any.
+func (p *Proxy) fire() {
+	p.mu.Lock()
+	a := p.armed
+	p.armed = nil
+	if a != nil {
+		p.plan = a.plan
+	}
+	p.mu.Unlock()
+	if a == nil {
+		return
+	}
+	if a.kill {
+		p.KillActive()
+	}
+	if a.fired != nil {
+		a.fired()
+	}
 }
 
 // Plan returns the plan in force.
@@ -166,22 +213,34 @@ func (p *Proxy) relay(client, backend net.Conn) {
 		delete(p.conns, backend)
 		p.mu.Unlock()
 	}()
+	var session atomic.Bool // the connection's last request was a POST
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); p.pump(backend, client, false) }()
-	go func() { defer wg.Done(); p.pump(client, backend, true) }()
+	go func() { defer wg.Done(); p.pump(backend, client, false, &session) }()
+	go func() { defer wg.Done(); p.pump(client, backend, true, &session) }()
 	wg.Wait()
 }
 
 // pump copies src→dst chunk by chunk, applying the plan at each boundary.
 // counted marks the backend→client direction, the one ResetAfterBytes
-// meters.
-func (p *Proxy) pump(dst, src net.Conn, counted bool) {
+// meters and ArmOnSession watches; the client→backend direction notes in
+// session whether each new request is a POST.
+func (p *Proxy) pump(dst, src net.Conn, counted bool, session *atomic.Bool) {
 	buf := make([]byte, 32<<10)
 	var moved int64
 	for {
 		n, err := src.Read(buf)
 		if n > 0 {
+			switch {
+			case counted:
+				if session.Load() {
+					p.fire()
+				}
+			case bytes.HasPrefix(buf[:n], []byte("POST ")):
+				session.Store(true)
+			case bytes.HasPrefix(buf[:n], []byte("GET ")):
+				session.Store(false)
+			}
 			for {
 				plan := p.Plan()
 				if !plan.Stall {

@@ -31,7 +31,7 @@ func testOrder(r int) []Offset {
 // active tier, reading the row sums of a lazy view of ref.
 func testGrid(t testing.TB, cur *frame.Plane, cx, cy, h int, ref *frame.Plane, bx, by int, win Window) []uint16 {
 	t.Helper()
-	ip := frame.InterpolateLazy(ref)
+	ip := frame.Interpolate(ref)
 	defer ip.Release()
 	gs := GridStride(win)
 	sums, stride := ip.RowSums(bx+win.U0, by+win.V0, bx+win.U0+gs-1, by+win.V1+h-1)

@@ -68,20 +68,20 @@ func TestSADHalfPelPlaneMatchesScalar(t *testing.T) {
 }
 
 // TestSADHalfPelPlaneMatchesGrid pins the fused kernels byte-identical to
-// probing a fully materialised half-pel view — the bit-exactness claim
-// that lets searchers skip the grid entirely.
+// the per-sample half-pel grid rule on a tight plane, over the ±1 pel
+// refinement window of every anchor — the bit-exactness claim that lets
+// searchers skip the grid entirely.
 func TestSADHalfPelPlaneMatchesGrid(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	cur := paddedPlane(rng, 48, 32, 0)
 	ref := paddedPlane(rng, 48, 32, 0)
-	ip := frame.Interpolate(ref)
 	for cy := 0; cy+16 <= cur.H; cy += 7 {
 		for cx := 0; cx+16 <= cur.W; cx += 5 {
 			for dy := -2; dy <= 2; dy++ {
 				for dx := -2; dx <= 2; dx++ {
 					hx, hy := 2*cx+dx, 2*cy+dy
 					got := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, 16, 16)
-					want := SADHalfPel(cur, cx, cy, ip, hx, hy, 16, 16)
+					want := sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, 16, 16)
 					if got != want {
 						t.Fatalf("fused (%d,%d)+(%d,%d): got %d, grid %d", cx, cy, dx, dy, got, want)
 					}
@@ -152,30 +152,41 @@ func TestSADHalfPelRingMatchesProbes(t *testing.T) {
 }
 
 // TestHalfPelAtPlaneMatchesInterpolated pins the scalar on-the-fly sample
-// rule to Interpolated.AtClamped for every position around the grid.
+// rule to the samples motion compensation predicts (a 1×1
+// Interpolated.Block) for every position around the grid, so search and
+// compensation agree.
 func TestHalfPelAtPlaneMatchesInterpolated(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ref := paddedPlane(rng, 11, 7, 0)
 	ip := frame.Interpolate(ref)
+	defer ip.Release()
+	var want [1]uint8
 	for hy := -4; hy < 2*ref.H+4; hy++ {
 		for hx := -4; hx < 2*ref.W+4; hx++ {
-			if got, want := halfPelAtPlane(ref, hx, hy), ip.AtClamped(hx, hy); got != want {
-				t.Fatalf("halfPelAtPlane(%d,%d) = %d, want %d", hx, hy, got, want)
+			ip.Block(want[:], hx, hy, 1, 1)
+			if got := halfPelAtPlane(ref, hx, hy); got != want[0] {
+				t.Fatalf("halfPelAtPlane(%d,%d) = %d, want %d", hx, hy, got, want[0])
 			}
 		}
 	}
 }
 
-// TestSADHalfPelPlaneDecimatedMatches pins the decimated fused variant to
-// the grid-based one.
+// TestSADHalfPelPlaneDecimatedMatches pins the decimated variant to four
+// times the SAD over the even samples of the per-sample grid rule.
 func TestSADHalfPelPlaneDecimatedMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	cur := paddedPlane(rng, 32, 32, 0)
 	ref := paddedPlane(rng, 32, 32, 0)
-	ip := frame.Interpolate(ref)
 	for _, dh := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {-1, 2}, {33, 9}} {
-		got := SADHalfPelPlaneDecimated(cur, 8, 8, ref, 16+dh[0], 16+dh[1], 16, 16)
-		want := SADHalfPelDecimated(cur, 8, 8, ip, 16+dh[0], 16+dh[1], 16, 16)
+		hx, hy := 16+dh[0], 16+dh[1]
+		got := SADHalfPelPlaneDecimated(cur, 8, 8, ref, hx, hy, 16, 16)
+		want := 0
+		for y := 0; y < 16; y += 2 {
+			for x := 0; x < 16; x += 2 {
+				d := int(cur.At(8+x, 8+y)) - int(halfPelAtPlane(ref, hx+2*x, hy+2*y))
+				want += 4 * max(d, -d)
+			}
+		}
 		if got != want {
 			t.Fatalf("decimated at %v: got %d want %d", dh, got, want)
 		}

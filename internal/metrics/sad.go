@@ -14,10 +14,7 @@
 // body and finish the trailing columns scalar.
 package metrics
 
-import (
-	"repro/internal/frame"
-	"repro/internal/mvfield"
-)
+import "repro/internal/frame"
 
 // swarRowGroup returns how many rows of width w can accumulate in the
 // 16-bit SWAR lanes before a fold is required (worst case 255 per sample).
@@ -210,57 +207,13 @@ func sadCappedScalar(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, 
 	return sum
 }
 
-// SADHalfPel returns the SAD between the w×h block of cur anchored at
-// (cx, cy) and the prediction taken from the half-pel interpolated
-// reference at grid position (hx, hy) = full-pel anchor ×2 plus the motion
-// vector in half-pel units. The whole block reads one phase of the view
-// (block samples are two grid positions apart), so interior positions run
-// the same contiguous SWAR kernel as integer SAD over the — lazily
-// materialised — phase plane.
-func SADHalfPel(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	if hx >= 0 && hy >= 0 && hx+2*(w-1) < ref.W && hy+2*(h-1) < ref.H {
-		p, x0, y0 := ref.PhaseRect(hx, hy, w, h)
-		return SAD(cur, cx, cy, p, x0, y0, w, h)
-	}
-	return sadHalfPelClamped(cur, cx, cy, ref, hx, hy, w, h)
-}
-
-// sadHalfPelClamped handles positions beyond the grid, with edge
-// replication. It is the scalar reference for SADHalfPel; codec search
-// never reaches it (legal candidates are interior).
-func sadHalfPelClamped(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	sum := 0
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			d := int(cur.At(cx+x, cy+y)) - int(ref.AtClamped(hx+2*x, hy+2*y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return sum
-}
-
-// sadHalfPelScalar is the scalar reference for SADHalfPel.
-func sadHalfPelScalar(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	return sadHalfPelClamped(cur, cx, cy, ref, hx, hy, w, h)
-}
-
-// SADMV returns the SAD for candidate motion vector mv (half-pel units)
-// applied to the w×h block of cur anchored at (bx, by), matching against
-// the interpolated reference.
-func SADMV(cur *frame.Plane, bx, by int, ref *frame.Interpolated, mv mvfield.MV, w, h int) int {
-	return SADHalfPel(cur, bx, by, ref, 2*bx+mv.X, 2*by+mv.Y, w, h)
-}
-
 // SADHalfPelPlane evaluates a half-pel candidate directly against the
 // integer reference plane, fusing the H.263 bilinear interpolation
 // (rounding up) into the SWAR difference kernel: no half-pel sample is
-// ever materialised. It is bit-identical to SADHalfPel over an
-// interpolated view of ref, and it is what the searchers' refinement
-// steps use — a probe costs two or four row loads instead of a grid
-// build. (hx, hy) is the block's half-pel anchor; positions beyond the
+// ever materialised. It is bit-identical to the SAD against the block
+// frame.Interpolated.Block predicts, and it is what the searchers'
+// refinement steps use — a probe costs two or four row loads per block
+// row. (hx, hy) is the block's half-pel anchor; positions beyond the
 // plane replicate the edge (scalar path — legal candidates never need it).
 func SADHalfPelPlane(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx, hy, w, h int) int {
 	px, py := hx&1, hy&1
@@ -573,7 +526,8 @@ func sadHalfPelRingSWAR(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, 
 
 // halfPelAtPlane computes one half-pel grid sample directly from the
 // integer plane with edge replication — the scalar reference for the
-// fused kernels, matching Interpolated.AtClamped exactly.
+// fused kernels: it clamps the grid coordinate to [0, 2W)×[0, 2H), as
+// frame.Interpolated.Block does for far-out anchors.
 func halfPelAtPlane(ref *frame.Plane, hx, hy int) uint8 {
 	if hx < 0 {
 		hx = 0
@@ -636,23 +590,9 @@ func SADDecimated(cur *frame.Plane, cx, cy int, ref *frame.Plane, rx, ry, w, h i
 	return 4 * sum
 }
 
-// SADHalfPelDecimated is SADDecimated against the interpolated reference.
-func SADHalfPelDecimated(cur *frame.Plane, cx, cy int, ref *frame.Interpolated, hx, hy, w, h int) int {
-	sum := 0
-	for y := 0; y < h; y += 2 {
-		for x := 0; x < w; x += 2 {
-			d := int(cur.At(cx+x, cy+y)) - int(ref.AtClamped(hx+2*x, hy+2*y))
-			if d < 0 {
-				d = -d
-			}
-			sum += d
-		}
-	}
-	return 4 * sum
-}
-
-// SADHalfPelPlaneDecimated is SADHalfPelDecimated with the interpolation
-// fused against the integer plane (bit-identical values, no grid).
+// SADHalfPelPlaneDecimated is SADDecimated against the half-pel
+// prediction at (hx, hy), interpolated on the fly from the integer plane
+// with edge replication.
 func SADHalfPelPlaneDecimated(cur *frame.Plane, cx, cy int, ref *frame.Plane, hx, hy, w, h int) int {
 	sum := 0
 	for y := 0; y < h; y += 2 {

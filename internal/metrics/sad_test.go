@@ -101,13 +101,12 @@ func TestSADCappedNeverChangesWinner(t *testing.T) {
 func TestSADHalfPelIntegerPositionsMatchSAD(t *testing.T) {
 	cur := noisyPlane(48, 48, 13)
 	ref := noisyPlane(48, 48, 17)
-	ip := frame.Interpolate(ref)
 	for _, mv := range []mvfield.MV{{X: 0, Y: 0}, {X: 2, Y: 4}, {X: -6, Y: 2}, {X: 8, Y: -8}} {
 		fx, fy := mv.FullPel()
 		want := SAD(cur, 16, 16, ref, 16+fx, 16+fy, 16, 16)
-		got := SADMV(cur, 16, 16, ip, mv, 16, 16)
+		got := SADHalfPelPlane(cur, 16, 16, ref, 2*16+mv.X, 2*16+mv.Y, 16, 16)
 		if got != want {
-			t.Fatalf("SADMV(%v) = %d, want %d", mv, got, want)
+			t.Fatalf("SADHalfPelPlane(%v) = %d, want %d", mv, got, want)
 		}
 	}
 }
@@ -120,19 +119,18 @@ func TestSADHalfPelShiftRecovery(t *testing.T) {
 			ref.Set(x, y, uint8(((x/4)+(y/4))%2*200+20))
 		}
 	}
-	ip := frame.Interpolate(ref)
 	// Build cur as the half-pel interpolation at offset (+1, 0) half-pels.
 	cur := frame.NewPlane(64, 64)
 	for y := 0; y < 64; y++ {
 		for x := 0; x < 64; x++ {
-			cur.Set(x, y, ip.AtClamped(2*x+1, 2*y))
+			cur.Set(x, y, halfPelAtPlane(ref, 2*x+1, 2*y))
 		}
 	}
 	best, bestMV := 1<<30, mvfield.MV{}
 	for dy := -2; dy <= 2; dy++ {
 		for dx := -2; dx <= 2; dx++ {
 			mv := mvfield.MV{X: dx, Y: dy}
-			s := SADMV(cur, 24, 24, ip, mv, 16, 16)
+			s := SADHalfPelPlane(cur, 24, 24, ref, 2*24+mv.X, 2*24+mv.Y, 16, 16)
 			if s < best {
 				best, bestMV = s, mv
 			}
@@ -143,6 +141,30 @@ func TestSADHalfPelShiftRecovery(t *testing.T) {
 	}
 	if best != 0 {
 		t.Fatalf("best SAD = %d, want 0", best)
+	}
+}
+
+func TestSADDecimatedExactOnGlobalShift(t *testing.T) {
+	ref := noisyPlane(64, 64, 9)
+	cur := ref.Shift(3, 2)
+	// At the true displacement even the decimated SAD is exactly 0.
+	if got := SADDecimated(cur, 24, 24, ref, 21, 22, 16, 16); got != 0 {
+		t.Fatalf("decimated SAD at true MV = %d", got)
+	}
+	// And it is 4× the subsampled sum elsewhere.
+	full := SADDecimated(cur, 24, 24, ref, 24, 24, 16, 16)
+	if full <= 0 || full%4 != 0 {
+		t.Fatalf("decimated SAD = %d, want positive multiple of 4", full)
+	}
+}
+
+func TestSADHalfPelDecimatedMatchesIntegerPath(t *testing.T) {
+	ref := noisyPlane(64, 64, 11)
+	cur := noisyPlane(64, 64, 12)
+	want := SADDecimated(cur, 24, 24, ref, 26, 23, 16, 16)
+	got := SADHalfPelPlaneDecimated(cur, 24, 24, ref, 2*26, 2*23, 16, 16)
+	if got != want {
+		t.Fatalf("half-pel decimated %d != integer decimated %d", got, want)
 	}
 }
 

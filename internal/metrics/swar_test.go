@@ -42,7 +42,6 @@ func TestSWARMatchesScalar(t *testing.T) {
 	for _, pad := range []int{0, 1, 3, 7, 17} {
 		cur := paddedPlane(rng, 48, 24, pad)
 		ref := paddedPlane(rng, 48, 24, 2*pad+1)
-		ip := frame.Interpolate(ref)
 		for _, w := range []int{4, 8, 12, 16, 20} {
 			for _, h := range []int{4, 8, 16} {
 				for cy := 0; cy+h <= cur.H; cy += 3 {
@@ -64,8 +63,8 @@ func TestSWARMatchesScalar(t *testing.T) {
 						// the clamped fallback (odd phases, borders).
 						for _, d := range [][2]int{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {-3, -3}, {2*ref.W - 2*w - 1, 0}} {
 							hx, hy := 2*rx+d[0], 2*ry+d[1]
-							if got, want := SADHalfPel(cur, cx, cy, ip, hx, hy, w, h), sadHalfPelScalar(cur, cx, cy, ip, hx, hy, w, h); got != want {
-								t.Fatalf("SADHalfPel pad=%d w=%d h=%d h(%d,%d): got %d want %d", pad, w, h, hx, hy, got, want)
+							if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h); got != want {
+								t.Fatalf("SADHalfPelPlane pad=%d w=%d h=%d h(%d,%d): got %d want %d", pad, w, h, hx, hy, got, want)
 							}
 						}
 					}
@@ -139,10 +138,9 @@ func FuzzSADSWAR(f *testing.F) {
 		if got, want := IntraSAD(cur, cx, cy, w, h), intraSADScalar(cur, cx, cy, w, h); got != want {
 			t.Fatalf("IntraSAD: got %d want %d", got, want)
 		}
-		ip := frame.Interpolate(ref)
 		hx, hy := 2*rx+int(rySel)%3-1, 2*ry+int(rxSel)%3-1
-		if got, want := SADHalfPel(cur, cx, cy, ip, hx, hy, w, h), sadHalfPelScalar(cur, cx, cy, ip, hx, hy, w, h); got != want {
-			t.Fatalf("SADHalfPel(%d,%d): got %d want %d", hx, hy, got, want)
+		if got, want := SADHalfPelPlane(cur, cx, cy, ref, hx, hy, w, h), sadHalfPelPlaneScalar(cur, cx, cy, ref, hx, hy, w, h); got != want {
+			t.Fatalf("SADHalfPelPlane(%d,%d): got %d want %d", hx, hy, got, want)
 		}
 	})
 }

@@ -89,7 +89,7 @@ func borderAnchors(W, H, w, h int) [][2]int {
 func TestFSBMPrunedScanMatchesPerCandidateLoop(t *testing.T) {
 	for _, sz := range []frame.Size{frame.CIF, frame.Size{W: 704, H: 576}} {
 		cur, ref := framePair(sz.W, sz.H, int64(sz.W))
-		refI := frame.InterpolateLazy(ref)
+		refI := frame.Interpolate(ref)
 		pruned := 0
 		for _, blk := range [][2]int{{16, 16}, {8, 8}, {16, 8}} {
 			w, h := blk[0], blk[1]
@@ -172,7 +172,7 @@ func TestFSBMSearchDoesNotAllocate(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop items at random")
 	}
 	cur, ref := framePair(352, 288, 3)
-	refI := frame.InterpolateLazy(ref)
+	refI := frame.Interpolate(ref)
 	defer refI.Release()
 	in := &Input{Cur: cur, Ref: ref, RefI: refI, BX: 160, BY: 128, W: 16, H: 16, Range: 15}
 	f := &FSBM{}

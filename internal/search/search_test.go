@@ -150,11 +150,7 @@ func TestHalfPelRefinementFindsSubpixelShift(t *testing.T) {
 	ip := frame.Interpolate(ref)
 	// cur = ref sampled at a (+1, -1) half-pel offset.
 	cur := frame.NewPlane(96, 96)
-	for y := 0; y < 96; y++ {
-		for x := 0; x < 96; x++ {
-			cur.Set(x, y, ip.AtClamped(2*x+1, 2*y-1))
-		}
-	}
+	ip.Block(cur.Pix, 1, -1, 96, 96)
 	in := newInput(cur, ref, 40, 40, 15, 16)
 	res := (&FSBM{}).Search(in)
 	if res.MV != (mvfield.MV{X: 1, Y: -1}) {
